@@ -439,9 +439,30 @@ BENCHMARK(BM_StreamingSummarization)
     ->ArgsProduct({{100000}, {0, 1024, 8192, 65536}, {1, 4}})
     ->ArgNames({"n", "panel_rows", "threads"});
 
-// Sync vs prefetched panel pipeline: the same streamed summarization with
-// the producer thread off (prefetch:0, every panel read inline on the
-// compute thread) and on (prefetch:1, reads overlap compute through the
+// The prefetch baseline: a PanelSource that reads every panel inline on
+// the compute thread with a bare BlockRowReader.
+class InlineReadSource final : public PanelSource {
+ public:
+  explicit InlineReadSource(BlockRowReader reader)
+      : reader_(std::move(reader)) {}
+  std::int64_t num_nodes() const override { return reader_.num_nodes(); }
+  Status ForEachPanel(const PanelFn& fn) override {
+    FGR_RETURN_IF_ERROR(reader_.Rewind());
+    while (!reader_.Done()) {
+      FGR_RETURN_IF_ERROR(reader_.NextPanel(&panel_));
+      fn(panel_.View(reader_.num_nodes()));
+    }
+    return Status::Ok();
+  }
+
+ private:
+  BlockRowReader reader_;
+  CsrPanel panel_;
+};
+
+// Sync vs prefetched panel pipeline: the same streamed summarization body
+// over inline reads (prefetch:0, InlineReadSource) and over the library's
+// StreamedPanelSource (prefetch:1, reads overlap compute through the
 // ring-queue double buffer). The prefetched column should sit at or below
 // the sync one — the prefetch_overlap perf gate holds that line.
 void BM_StreamingPipeline(benchmark::State& state) {
@@ -451,11 +472,22 @@ void BM_StreamingPipeline(benchmark::State& state) {
   SetNumThreads(static_cast<int>(state.range(3)));
   BlockRowReaderOptions options;
   options.rows_per_panel = state.range(1);
-  options.prefetch = state.range(2) != 0;
+  const bool prefetch = state.range(2) != 0;
+  const auto summarize = [&]() -> Result<GraphStatistics> {
+    if (prefetch) {
+      return ComputeGraphStatisticsStreaming(
+          path, fixture.seeds, 5, PathType::kNonBacktracking,
+          NormalizationVariant::kRowStochastic, options);
+    }
+    auto reader = BlockRowReader::Open(path, options);
+    FGR_CHECK(reader.ok()) << reader.status().ToString();
+    InlineReadSource source(std::move(reader).value());
+    return SummarizePanels(source, fixture.seeds, 5,
+                           PathType::kNonBacktracking,
+                           NormalizationVariant::kRowStochastic);
+  };
   for (auto _ : state) {
-    auto stats = ComputeGraphStatisticsStreaming(
-        path, fixture.seeds, 5, PathType::kNonBacktracking,
-        NormalizationVariant::kRowStochastic, options);
+    Result<GraphStatistics> stats = summarize();
     FGR_CHECK(stats.ok()) << stats.status().ToString();
     benchmark::DoNotOptimize(stats.value().p_hat.front()(0, 0));
   }

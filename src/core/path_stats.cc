@@ -221,12 +221,21 @@ GraphStatistics ComputeGraphStatistics(const Graph& graph,
                                        PathType path_type,
                                        NormalizationVariant variant) {
   FGR_CHECK_EQ(seeds.num_nodes(), graph.num_nodes());
+  WholeMatrixSource whole(graph.adjacency().View());
+  return SummarizePanels(whole, seeds, max_length, path_type, variant)
+      .value();
+}
+
+Result<GraphStatistics> SummarizePanels(PanelSource& source,
+                                        const Labeling& seeds, int max_length,
+                                        PathType path_type,
+                                        NormalizationVariant variant) {
   PanelSummarizer summarizer(seeds, max_length, path_type);
-  const CsrPanelView whole = graph.adjacency().View();
   for (int length = 1; length <= max_length; ++length) {
     FGR_TRACE_SPAN("summarize/pass", length);
     summarizer.BeginPass(length);
-    summarizer.AbsorbPanel(whole);
+    FGR_RETURN_IF_ERROR(source.ForEachPanel(
+        [&](const CsrPanelView& panel) { summarizer.AbsorbPanel(panel); }));
     summarizer.EndPass();
   }
   return summarizer.Finish(variant);

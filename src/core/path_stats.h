@@ -20,6 +20,7 @@
 #include "graph/graph.h"
 #include "graph/labels.h"
 #include "matrix/dense.h"
+#include "matrix/panel_source.h"
 #include "matrix/sparse.h"
 #include "util/stopwatch.h"
 
@@ -53,14 +54,23 @@ GraphStatistics ComputeGraphStatistics(
     PathType path_type = PathType::kNonBacktracking,
     NormalizationVariant variant = NormalizationVariant::kRowStochastic);
 
+// The ℓ-pass loop, written once over any panel source: pass ℓ feeds every
+// panel through a PanelSummarizer. ComputeGraphStatistics runs it on the
+// whole-matrix source, the serving layer on an mmap'd cache, and
+// ComputeGraphStatisticsStreaming (data/streaming_estimation.h) on a
+// streamed one. Fails only with the source's read error.
+Result<GraphStatistics> SummarizePanels(PanelSource& source,
+                                        const Labeling& seeds, int max_length,
+                                        PathType path_type,
+                                        NormalizationVariant variant);
+
 // Folds the ℓ-length path statistics panel by panel — the engine behind
-// both the in-core ComputeGraphStatistics and the out-of-core streaming
-// path (data/streaming_estimation.h). One instance drives max_length
-// passes over the adjacency matrix; pass ℓ must see the matrix's row
-// panels in ascending, exactly-tiling order and produces M(ℓ). The
-// resident state is the compact side of the factorization only: the one-hot
-// X plus three rolling n×k recurrence buffers and the degree vector — W
-// itself is whatever panel the caller is holding.
+// SummarizePanels. One instance drives max_length passes over the
+// adjacency matrix; pass ℓ must see the matrix's row panels in ascending,
+// exactly-tiling order and produces M(ℓ). The resident state is the
+// compact side of the factorization only: the one-hot X plus three rolling
+// n×k recurrence buffers and the degree vector — W itself is whatever
+// panel the caller is holding.
 //
 // The in-core path feeds one whole-matrix panel per pass, so streamed and
 // in-core results agree bit-for-bit in serial runs (identical operation

@@ -43,11 +43,6 @@ struct BlockRowReaderOptions {
   // > 0: exactly this many rows per panel (the last panel takes the
   // remainder), overriding the budget. Tests sweep panel shapes with this.
   std::int64_t rows_per_panel = 0;
-  // Read panels on a producer thread ahead of compute (the async panel
-  // pipeline). Identical results either way — prefetching only moves where
-  // the read happens, never the panel order or contents. `FGR_PREFETCH=0`
-  // in the environment overrides this to off as an escape hatch.
-  bool prefetch = true;
 };
 
 // One resident row panel. The vectors are reused across NextPanel() calls,

@@ -140,4 +140,26 @@ Status PrefetchingPanelReader::Rewind() {
   return Status::Ok();
 }
 
+Result<std::unique_ptr<StreamedPanelSource>> StreamedPanelSource::Open(
+    const std::string& path, const BlockRowReaderOptions& options,
+    std::int64_t seed_nodes) {
+  Result<BlockRowReader> opened = BlockRowReader::Open(path, options);
+  if (!opened.ok()) return opened.status();
+  if (opened.value().num_nodes() != seed_nodes) {
+    return Status::InvalidArgument(
+        path + ": cache has " + std::to_string(opened.value().num_nodes()) +
+        " nodes but the seed labeling has " + std::to_string(seed_nodes));
+  }
+  return std::make_unique<StreamedPanelSource>(std::move(opened).value());
+}
+
+Status StreamedPanelSource::ForEachPanel(const PanelFn& fn) {
+  FGR_RETURN_IF_ERROR(reader_.Rewind());
+  while (!reader_.Done()) {
+    FGR_RETURN_IF_ERROR(reader_.NextPanel(&panel_));
+    fn(panel_.View(reader_.num_nodes()));
+  }
+  return Status::Ok();
+}
+
 }  // namespace fgr

@@ -15,18 +15,21 @@
 // the producer, drains any in-flight panels back to the free list, rewinds
 // the underlying reader, reopens the queues, and starts a fresh producer.
 //
-// The class intentionally mirrors BlockRowReader's streaming surface
-// (NextPanel/Rewind/Done/num_nodes/num_panels), so pass loops can be
-// written once as a template over either reader.
+// StreamedPanelSource wraps one as the streamed PanelSource: every pass
+// rewinds it and hands its panels to the consumer in file order.
 
 #ifndef FGR_DATA_PREFETCHING_PANEL_READER_H_
 #define FGR_DATA_PREFETCHING_PANEL_READER_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/block_row_reader.h"
+#include "matrix/panel_source.h"
 #include "util/ring_queue.h"
 #include "util/status.h"
 
@@ -78,6 +81,30 @@ class PrefetchingPanelReader {
   std::thread producer_;
   std::int64_t consumed_ = 0;
   bool failed_ = false;
+};
+
+// The streamed PanelSource over a .fgrbin cache. Streamed routes always
+// prefetch; BlockRowReader stays the producer's reader.
+class StreamedPanelSource final : public PanelSource {
+ public:
+  // Opens the cache at `path` for a seed labeling over `seed_nodes` nodes;
+  // InvalidArgument when the cache's node count differs.
+  static Result<std::unique_ptr<StreamedPanelSource>> Open(
+      const std::string& path, const BlockRowReaderOptions& options,
+      std::int64_t seed_nodes);
+
+  explicit StreamedPanelSource(BlockRowReader reader)
+      : reader_(std::move(reader)) {}
+
+  std::int64_t num_nodes() const override { return reader_.num_nodes(); }
+
+  // Fails with the reader's panel-boundary error — truncation, a block
+  // changed since Open — at the panel where it occurs.
+  Status ForEachPanel(const PanelFn& fn) override;
+
+ private:
+  PrefetchingPanelReader reader_;
+  CsrPanel panel_;  // persists across passes so buffers recycle
 };
 
 }  // namespace fgr

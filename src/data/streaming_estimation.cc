@@ -1,68 +1,20 @@
 #include "data/streaming_estimation.h"
 
-#include <utility>
+#include <memory>
 
 #include "data/prefetching_panel_reader.h"
-#include "obs/trace.h"
-#include "util/env.h"
 
 namespace fgr {
-
-namespace {
-
-// The per-ℓ pass loop, written once over either reader. Both readers hand
-// out the same panels in the same order, so the summarizer sees an
-// identical operation sequence — prefetching cannot perturb the result.
-template <typename Reader>
-Result<GraphStatistics> SummarizeStream(Reader& reader, const Labeling& seeds,
-                                        int max_length, PathType path_type,
-                                        NormalizationVariant variant) {
-  PanelSummarizer summarizer(seeds, max_length, path_type);
-  CsrPanel panel;
-  for (int length = 1; length <= max_length; ++length) {
-    FGR_TRACE_SPAN("summarize/stream_pass", length);
-    Status rewound = reader.Rewind();
-    if (!rewound.ok()) return rewound;
-    summarizer.BeginPass(length);
-    while (!reader.Done()) {
-      Status status = reader.NextPanel(&panel);
-      if (!status.ok()) return status;
-      FGR_TRACE_SPAN("summarize/absorb_panel");
-      summarizer.AbsorbPanel(panel.View(reader.num_nodes()));
-    }
-    summarizer.EndPass();
-  }
-  return summarizer.Finish(variant);
-}
-
-}  // namespace
-
-bool StreamingPrefetchEnabled(const BlockRowReaderOptions& options) {
-  return options.prefetch && EnvInt64("FGR_PREFETCH", 1) != 0;
-}
 
 Result<GraphStatistics> ComputeGraphStatisticsStreaming(
     const std::string& path, const Labeling& seeds, int max_length,
     PathType path_type, NormalizationVariant variant,
     const BlockRowReaderOptions& reader_options) {
-  Result<BlockRowReader> opened = BlockRowReader::Open(path, reader_options);
-  if (!opened.ok()) return opened.status();
-  BlockRowReader& reader = opened.value();
-  if (reader.num_nodes() != seeds.num_nodes()) {
-    return Status::InvalidArgument(
-        path + ": cache has " + std::to_string(reader.num_nodes()) +
-        " nodes but the seed labeling has " +
-        std::to_string(seeds.num_nodes()));
-  }
-
-  if (StreamingPrefetchEnabled(reader_options)) {
-    PrefetchingPanelReader prefetcher(std::move(reader));
-    return SummarizeStream(prefetcher, seeds, max_length, path_type, variant);
-  }
-  return SummarizeStream(reader, seeds, max_length, path_type, variant);
+  Result<std::unique_ptr<StreamedPanelSource>> source =
+      StreamedPanelSource::Open(path, reader_options, seeds.num_nodes());
+  if (!source.ok()) return source.status();
+  return SummarizePanels(*source.value(), seeds, max_length, path_type,
+                         variant);
 }
-
-// EstimateDceStreaming lives in fgr/estimate.cc as a wrapper over
-// fgr::Estimate, keeping both estimation routes behind the one router.
 
 }  // namespace fgr

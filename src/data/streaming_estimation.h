@@ -6,28 +6,23 @@
 // itself. The ℓ-recurrence consumes W strictly row by row, so the cache
 // streams through it in ℓmax sequential passes: resident memory is the
 // compact state (one-hot X, three rolling n×k recurrence buffers, the
-// degree vector) plus one panel bounded by the memory budget — W never
-// materializes. Serial streamed results are bit-identical to the in-core
-// path (same kernel, same operation order); threaded runs agree to
-// floating-point reassociation, exactly like the in-core parallel backend.
+// degree vector) plus the prefetcher's panels under the memory budget — W
+// never materializes. The passes run the same SummarizePanels body as the
+// in-core path, so serial streamed results are bit-identical to in-core;
+// threaded runs agree to floating-point reassociation, exactly like the
+// in-core parallel backend.
 
 #ifndef FGR_DATA_STREAMING_ESTIMATION_H_
 #define FGR_DATA_STREAMING_ESTIMATION_H_
 
 #include <string>
 
-#include "core/dce.h"
 #include "core/path_stats.h"
 #include "data/block_row_reader.h"
 #include "graph/labels.h"
 #include "util/status.h"
 
 namespace fgr {
-
-// Resolves the async-pipeline knob: options.prefetch gated by the
-// FGR_PREFETCH environment escape hatch (FGR_PREFETCH=0 forces the
-// synchronous reader everywhere).
-bool StreamingPrefetchEnabled(const BlockRowReaderOptions& options);
 
 // Streams the ℓ-recurrence over the cache at `path` and returns the same
 // GraphStatistics ComputeGraphStatistics produces in-core. `seeds` must
@@ -36,13 +31,6 @@ Result<GraphStatistics> ComputeGraphStatisticsStreaming(
     const std::string& path, const Labeling& seeds, int max_length,
     PathType path_type = PathType::kNonBacktracking,
     NormalizationVariant variant = NormalizationVariant::kRowStochastic,
-    const BlockRowReaderOptions& reader_options = {});
-
-// End-to-end DCE/DCEr over a .fgrbin cache without materializing the CSR:
-// streamed summarization, then the graph-size-independent optimization.
-Result<EstimationResult> EstimateDceStreaming(
-    const std::string& path, const Labeling& seeds,
-    const DceOptions& options = {},
     const BlockRowReaderOptions& reader_options = {});
 
 }  // namespace fgr

@@ -20,6 +20,32 @@ EstimationResult EstimateInCore(const Graph& graph, const Labeling& seeds,
   return EstimateDceFromStatistics(stats, seeds.num_classes(), options);
 }
 
+// The streamed route's reader: the caller's panel shaping under the budget.
+BlockRowReaderOptions StreamedReader(const EstimateOptions& options) {
+  BlockRowReaderOptions reader = options.reader;
+  reader.memory_budget_bytes = *options.memory_budget_bytes;
+  return reader;
+}
+
+// The seeds a path-backed ref runs with: the caller's when given, else the
+// cache's embedded labels — `embedded` when the cache is already loaded,
+// otherwise read from the file into `*owned`.
+Result<const Labeling*> PathSeeds(const DatasetRef& dataset,
+                                  const Labeling* embedded, Labeling* owned) {
+  if (dataset.seeds != nullptr) return dataset.seeds;
+  if (embedded == nullptr) {
+    Result<Labeling> read = ReadFgrBinLabels(dataset.path);
+    if (!read.ok()) return read.status();
+    *owned = std::move(read).value();
+    embedded = owned;
+  }
+  if (embedded->NumLabeled() == 0) {
+    return Status::FailedPrecondition(
+        dataset.path + ": cache has no label section to seed from");
+  }
+  return embedded;
+}
+
 }  // namespace
 
 Result<EstimationResult> Estimate(const DatasetRef& dataset,
@@ -49,40 +75,25 @@ Result<EstimationResult> Estimate(const DatasetRef& dataset,
 
   if (options.memory_budget_bytes.has_value()) {
     // Out-of-core: stream block-row panels under the budget.
-    BlockRowReaderOptions reader = options.reader;
-    reader.memory_budget_bytes = *options.memory_budget_bytes;
-    reader.prefetch = options.prefetch && options.reader.prefetch;
     Labeling owned;
-    const Labeling* seeds = dataset.seeds;
-    if (seeds == nullptr) {
-      Result<Labeling> embedded = ReadFgrBinLabels(dataset.path);
-      if (!embedded.ok()) return embedded.status();
-      owned = std::move(embedded).value();
-      seeds = &owned;
-      if (seeds->NumLabeled() == 0) {
-        return Status::FailedPrecondition(
-            dataset.path + ": cache has no label section to seed from");
-      }
-    }
+    Result<const Labeling*> seeds = PathSeeds(dataset, nullptr, &owned);
+    if (!seeds.ok()) return seeds.status();
     Result<GraphStatistics> stats = ComputeGraphStatisticsStreaming(
-        dataset.path, *seeds, options.dce.max_path_length,
-        options.dce.path_type, options.dce.variant, reader);
+        dataset.path, *seeds.value(), options.dce.max_path_length,
+        options.dce.path_type, options.dce.variant, StreamedReader(options));
     if (!stats.ok()) return stats.status();
-    return EstimateDceFromStatistics(stats.value(), seeds->num_classes(),
-                                     options.dce);
+    return EstimateDceFromStatistics(
+        stats.value(), seeds.value()->num_classes(), options.dce);
   }
 
   // In-core over a cache: load it whole, seed from the embedded labels
   // unless the caller supplied their own.
   Result<LabeledGraph> loaded = ReadFgrBin(dataset.path);
   if (!loaded.ok()) return loaded.status();
-  const Labeling* seeds =
-      dataset.seeds != nullptr ? dataset.seeds : &loaded.value().labels;
-  if (dataset.seeds == nullptr && seeds->NumLabeled() == 0) {
-    return Status::FailedPrecondition(
-        dataset.path + ": cache has no label section to seed from");
-  }
-  return EstimateInCore(loaded.value().graph, *seeds, options.dce);
+  Result<const Labeling*> seeds =
+      PathSeeds(dataset, &loaded.value().labels, nullptr);
+  if (!seeds.ok()) return seeds.status();
+  return EstimateInCore(loaded.value().graph, *seeds.value(), options.dce);
 }
 
 Result<LabelResult> Label(const DatasetRef& dataset,
@@ -92,32 +103,21 @@ Result<LabelResult> Label(const DatasetRef& dataset,
   if (dataset.graph == nullptr && !dataset.path.empty() &&
       options.estimate.memory_budget_bytes.has_value()) {
     Labeling owned;
-    const Labeling* seeds = dataset.seeds;
-    if (seeds == nullptr) {
-      Result<Labeling> embedded = ReadFgrBinLabels(dataset.path);
-      if (!embedded.ok()) return embedded.status();
-      owned = std::move(embedded).value();
-      seeds = &owned;
-      if (seeds->NumLabeled() == 0) {
-        return Status::FailedPrecondition(
-            dataset.path + ": cache has no label section to seed from");
-      }
-    }
+    Result<const Labeling*> seeds = PathSeeds(dataset, nullptr, &owned);
+    if (!seeds.ok()) return seeds.status();
     LabelResult result;
-    Result<EstimationResult> estimate =
-        Estimate(DatasetRef::FgrBin(dataset.path, seeds), options.estimate);
+    Result<EstimationResult> estimate = Estimate(
+        DatasetRef::FgrBin(dataset.path, seeds.value()), options.estimate);
     if (!estimate.ok()) return estimate.status();
     result.estimate = std::move(estimate).value();
 
-    BlockRowReaderOptions reader = options.estimate.reader;
-    reader.memory_budget_bytes = *options.estimate.memory_budget_bytes;
-    reader.prefetch = options.estimate.prefetch &&
-                      options.estimate.reader.prefetch;
     Result<LinBpResult> propagated = PropagateLinBPStreaming(
-        dataset.path, *seeds, result.estimate.h, options.linbp, reader);
+        dataset.path, *seeds.value(), result.estimate.h, options.linbp,
+        StreamedReader(options.estimate));
     if (!propagated.ok()) return propagated.status();
     result.propagation = std::move(propagated).value();
-    result.labels = LabelsFromBeliefs(result.propagation.beliefs, *seeds);
+    result.labels =
+        LabelsFromBeliefs(result.propagation.beliefs, *seeds.value());
     return result;
   }
 
@@ -126,15 +126,13 @@ Result<LabelResult> Label(const DatasetRef& dataset,
     // file is not read twice (once to estimate, once to propagate).
     Result<LabeledGraph> loaded = ReadFgrBin(dataset.path);
     if (!loaded.ok()) return loaded.status();
-    const Labeling* seeds =
-        dataset.seeds != nullptr ? dataset.seeds : &loaded.value().labels;
-    if (dataset.seeds == nullptr && seeds->NumLabeled() == 0) {
-      return Status::FailedPrecondition(
-          dataset.path + ": cache has no label section to seed from");
-    }
+    Result<const Labeling*> seeds =
+        PathSeeds(dataset, &loaded.value().labels, nullptr);
+    if (!seeds.ok()) return seeds.status();
     LabelOptions in_core = options;
     in_core.estimate.memory_budget_bytes.reset();
-    return Label(DatasetRef::InMemory(loaded.value().graph, *seeds), in_core);
+    return Label(DatasetRef::InMemory(loaded.value().graph, *seeds.value()),
+                 in_core);
   }
 
   Result<EstimationResult> estimate = Estimate(dataset, options.estimate);
@@ -148,9 +146,8 @@ Result<LabelResult> Label(const DatasetRef& dataset,
   return result;
 }
 
-// Legacy entry points, kept as thin wrappers so the whole codebase funnels
-// through the one router above. Declared in core/dce.h and
-// data/streaming_estimation.h respectively.
+// Legacy entry point, kept as a thin wrapper (declared in core/dce.h) so
+// the whole codebase funnels through the one router above.
 
 EstimationResult EstimateDce(const Graph& graph, const Labeling& seeds,
                              const DceOptions& options) {
@@ -161,16 +158,6 @@ EstimationResult EstimateDce(const Graph& graph, const Labeling& seeds,
   // The in-memory route has no failure mode once graph + seeds are set.
   FGR_CHECK(result.ok()) << result.status().message();
   return std::move(result).value();
-}
-
-Result<EstimationResult> EstimateDceStreaming(
-    const std::string& path, const Labeling& seeds, const DceOptions& options,
-    const BlockRowReaderOptions& reader_options) {
-  EstimateOptions unified;
-  unified.dce = options;
-  unified.reader = reader_options;
-  unified.memory_budget_bytes = reader_options.memory_budget_bytes;
-  return Estimate(DatasetRef::FgrBin(path, &seeds), unified);
 }
 
 }  // namespace fgr

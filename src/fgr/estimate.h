@@ -4,11 +4,10 @@
 // with seeds, or a .fgrbin cache on disk) and *how* (EstimateOptions:
 // the DCE knobs plus an optional memory budget); Estimate routes to the
 // in-core summarizer or the out-of-core block-row streamer accordingly.
-// The legacy entry points — EstimateDce (core/dce.h) and
-// EstimateDceStreaming (data/streaming_estimation.h) — are thin wrappers
-// over this function, so every route runs the identical pipeline:
-// summarize to GraphStatistics, then EstimateDceFromStatistics. Serial
-// results are bit-identical across routes.
+// The legacy entry point EstimateDce (core/dce.h) is a thin wrapper over
+// this function, so every route runs the identical pipeline: summarize to
+// GraphStatistics, then EstimateDceFromStatistics. Serial results are
+// bit-identical across routes.
 
 #ifndef FGR_FGR_ESTIMATE_H_
 #define FGR_FGR_ESTIMATE_H_
@@ -60,10 +59,6 @@ struct EstimateOptions {
   std::optional<std::int64_t> memory_budget_bytes;
   // Panel shaping for the streamed route (rows_per_panel etc).
   BlockRowReaderOptions reader;
-  // Streamed routes read panels on a producer thread ahead of compute (the
-  // async panel pipeline). Results are identical either way; FGR_PREFETCH=0
-  // in the environment forces this off as an escape hatch.
-  bool prefetch = true;
 };
 
 // Routes to the in-core or streaming estimator per the rules above.

@@ -51,6 +51,7 @@
 #include "matrix/dense.h"
 #include "matrix/hashimoto.h"
 #include "matrix/kernels/kernels.h"
+#include "matrix/panel_source.h"
 #include "matrix/sparse.h"
 #include "matrix/spectral.h"
 #include "opt/gradient_descent.h"

@@ -84,6 +84,11 @@ class CsrPanelView {
   // Row sums of the panel (weighted degrees), written to out[0..rows()).
   void RowSumsInto(double* out) const;
 
+  // Same sums with each row added left to right, the order
+  // SparseMatrix::RowSums (and so Graph::degrees()) uses; the weighted
+  // RowSumsInto kernel reassociates them.
+  void OrderedRowSumsInto(double* out) const;
+
   // y[first_row .. first_row + rows) = panel × x for a vector; other
   // entries of `y` are untouched. Checks x.size() == cols() and that `y`
   // is long enough. Row-parallel and bit-reproducible across thread counts

@@ -11,14 +11,12 @@
 #ifndef FGR_MATRIX_SPECTRAL_H_
 #define FGR_MATRIX_SPECTRAL_H_
 
-#include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "matrix/dense.h"
+#include "matrix/panel_source.h"
 #include "matrix/sparse.h"
-#include "util/check.h"
-#include "util/random.h"
+#include "util/status.h"
 
 namespace fgr {
 
@@ -28,59 +26,22 @@ struct PowerIterationOptions {
   std::uint64_t seed = 12345;
 };
 
-namespace spectral_internal {
-inline double Norm2(const std::vector<double>& x) {
-  double sum = 0.0;
-  for (double v : x) sum += v * v;
-  return std::sqrt(sum);
-}
-}  // namespace spectral_internal
-
-// Shared power-iteration loop over an opaque y = A·x callback. Exposed so
-// callers that only see the matrix one panel at a time (the out-of-core
-// propagation path) run the *identical* iteration — same seed, same start
-// vector, same convergence test — as the in-core SpectralRadius overloads,
-// which keeps streamed and in-core spectral radii bit-identical when the
-// callback reproduces A·x exactly.
-template <typename MultiplyFn>
-double PowerIterate(std::int64_t n, MultiplyFn&& multiply,
-                    const PowerIterationOptions& options = {}) {
-  using spectral_internal::Norm2;
-  if (n == 0) return 0.0;
-  Rng rng(options.seed);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (double& v : x) v = rng.Uniform(-1.0, 1.0);
-  double norm = Norm2(x);
-  FGR_CHECK_GT(norm, 0.0);
-  for (double& v : x) v /= norm;
-
-  std::vector<double> y;
-  double lambda = 0.0;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    multiply(x, &y);
-    const double y_norm = Norm2(y);
-    if (y_norm == 0.0) return 0.0;  // x in the null space: radius estimate 0
-    // Rayleigh-style estimate |λ| = ‖Ax‖ for normalized x; valid for the
-    // symmetric matrices this routine is documented for.
-    const double next = y_norm;
-    for (std::size_t i = 0; i < y.size(); ++i) x[i] = y[i] / y_norm;
-    if (std::fabs(next - lambda) <= options.tolerance * std::fabs(next)) {
-      return next;
-    }
-    lambda = next;
-  }
-  return lambda;
-}
-
 // Spectral radius of a symmetric sparse matrix. Returns 0 for empty matrices.
 double SpectralRadius(const SparseMatrix& matrix,
                       const PowerIterationOptions& options = {});
 
 // Same, over a whole-matrix CsrPanelView (first_row 0, rows == cols) — the
-// form the serving layer uses on mmap'd .fgrbin caches. The SparseMatrix
-// overload delegates here, so both paths run the identical iteration.
+// form the serving layer uses on mmap'd .fgrbin caches. Both overloads run
+// the PanelSource overload on the single-panel source.
 double SpectralRadius(const CsrPanelView& view,
                       const PowerIterationOptions& options = {});
+
+// Same, over a matrix seen one panel at a time: each power-iteration
+// multiply is one pass in which every panel writes its own rows of y, so
+// a streamed source yields the in-core radius bit for bit. Fails with the
+// source's read error.
+Result<double> SpectralRadius(PanelSource& source,
+                              const PowerIterationOptions& options = {});
 
 // Spectral radius of a symmetric dense matrix (intended for k×k H).
 double SpectralRadius(const DenseMatrix& matrix,

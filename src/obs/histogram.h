@@ -6,7 +6,10 @@
 // concurrently. The cursor is claimed with fetch_add, so each writer
 // lands in its own slot; a torn read (reader observing a slot mid-
 // overwrite) can at worst surface a stale-but-valid sample, never a torn
-// value, because each slot is a single atomic int64. The ring
+// value, because each slot is a single atomic int64. A writer claims its
+// slot before it stores the sample, so until the ring first fills a
+// reader can meet a claimed slot still holding the unpublished sentinel;
+// quantiles skip those slots rather than count them. The ring
 // deliberately keeps recent history rather than a full-run sketch: the
 // tail of *current* traffic is what gates and dashboards care about.
 //
@@ -34,6 +37,12 @@ class SampleRing {
  public:
   static constexpr std::size_t kSize = N;
 
+  SampleRing() {
+    for (auto& slot : samples_) {
+      slot.store(kUnpublished, std::memory_order_relaxed);
+    }
+  }
+
   // Thread-safe: any number of concurrent writers (see header comment).
   void Record(std::int64_t nanos) {
     const std::uint64_t slot =
@@ -46,17 +55,21 @@ class SampleRing {
     return cursor_.load(std::memory_order_relaxed);
   }
 
-  // Nearest-rank quantile in seconds over the ring's current contents.
-  // Returns 0 when no sample has been recorded.
+  // Nearest-rank quantile in seconds over the ring's published contents.
+  // Returns 0 when no sample has been published.
   double QuantileSeconds(double q) const {
     const std::uint64_t recorded = count();
-    const std::size_t n =
+    const std::size_t slots =
         static_cast<std::size_t>(std::min<std::uint64_t>(recorded, kSize));
-    if (n == 0) return 0.0;
-    std::vector<std::int64_t> snapshot(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      snapshot[i] = samples_[i].load(std::memory_order_relaxed);
+    std::vector<std::int64_t> snapshot;
+    snapshot.reserve(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+      const std::int64_t sample =
+          samples_[i].load(std::memory_order_relaxed);
+      if (sample != kUnpublished) snapshot.push_back(sample);
     }
+    const std::size_t n = snapshot.size();
+    if (n == 0) return 0.0;
     // Nearest rank: the ⌈q·n⌉-th smallest (1-based), clamped to [1, n].
     std::size_t rank = static_cast<std::size_t>(
         std::ceil(q * static_cast<double>(n)));
@@ -68,7 +81,10 @@ class SampleRing {
   }
 
  private:
-  std::array<std::atomic<std::int64_t>, kSize> samples_{};
+  // Marks a slot no writer has stored to yet (samples are durations).
+  static constexpr std::int64_t kUnpublished = -1;
+
+  std::array<std::atomic<std::int64_t>, kSize> samples_;
   std::atomic<std::uint64_t> cursor_{0};
 };
 

@@ -15,10 +15,13 @@
 #define FGR_PROP_LINBP_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.h"
 #include "graph/labels.h"
 #include "matrix/dense.h"
+#include "matrix/panel_source.h"
+#include "util/status.h"
 
 namespace fgr {
 
@@ -57,12 +60,24 @@ LinBpResult RunLinBp(const Graph& graph, const Labeling& seeds,
 // Same, over a whole-matrix adjacency view plus its weighted degrees — the
 // form the serving layer uses to propagate directly on an mmap'd .fgrbin
 // cache without materializing a Graph. The Graph overload delegates here
-// (graph.adjacency().View(), graph.degrees()), so both paths run the
-// identical kernels and agree bit for bit.
+// (graph.adjacency().View(), graph.degrees()).
 LinBpResult RunLinBp(const CsrPanelView& adjacency,
                      const std::vector<double>& degrees,
                      const Labeling& seeds, const DenseMatrix& h,
                      const LinBpOptions& options = {});
+
+// The LinBP body, written once over any panel source; both RunLinBp
+// overloads run it on the single-panel source and PropagateLinBPStreaming
+// (prop/linbp_streaming.h) on a streamed one. ρ(W), unless hinted, costs
+// one pass per power-iteration multiply; each iteration is one pass in
+// which every panel fills its rows of W·F and folds them into F_next.
+// `degrees` (the weighted degrees, read only with echo cancellation) may
+// be null, in which case one extra pass sums them. Fails only with the
+// source's read error, returning no beliefs.
+Result<LinBpResult> RunLinBpOverPanels(
+    PanelSource& source, const Labeling& seeds, const DenseMatrix& h,
+    const LinBpOptions& options = {},
+    const std::vector<double>* degrees = nullptr);
 
 // Argmax labeling from a belief matrix; seeds keep their given labels.
 Labeling LabelsFromBeliefs(const DenseMatrix& beliefs, const Labeling& seeds);

@@ -1,18 +1,12 @@
-// Out-of-core LinBP: block-row propagation over a streamed .fgrbin cache.
+// Out-of-core LinBP: a thin wrapper that opens a .fgrbin cache as a
+// streamed PanelSource and runs the shared LinBP body (RunLinBpOverPanels,
+// prop/linbp.h) on it.
 //
-// The LinBP iteration F ← X + ε·(W F)H' consumes W exactly like the
-// summarization recurrence does: strictly block-row (each output row of
-// W F needs one row of W and the dense n×k state F). So propagation
-// streams through the same panel pipeline — resident memory is the n×k
-// belief state (X, F, F_next, the W·F scratch: 4·n·k doubles) plus one
-// panel under the reader's budget; W itself never materializes.
-//
-// Equivalence contract: per-panel MultiplyInto writes exactly the panel's
-// rows of W·F in the same serial per-row order as the whole-matrix kernel,
-// the per-row fold is arithmetic-identical to RunLinBp's, the early-stop
-// delta is an order-independent max, and the streamed spectral radius runs
-// the shared PowerIterate with a callback that tiles y from disjoint panel
-// ranges — so streamed beliefs are bit-identical to the in-core path at
+// The LinBP iteration F ← X + ε·(W F)H' consumes W strictly block-row, so
+// resident memory is the n×k belief state (X, F, F_next, the W·F scratch:
+// 4·n·k doubles) plus the prefetcher's panels under the reader's budget; W
+// itself never materializes. The in-core RunLinBp is the same body on the
+// single-panel source, so streamed beliefs are bit-identical to in-core at
 // any thread count.
 
 #ifndef FGR_PROP_LINBP_STREAMING_H_
@@ -29,9 +23,8 @@
 namespace fgr {
 
 // Runs LinBP from `seeds` with compatibility matrix `h` over the .fgrbin
-// cache at `path` without materializing the CSR. Honors
-// `reader_options.prefetch` (and the FGR_PREFETCH escape hatch) to hide
-// panel I/O behind compute. Fails loudly — with the reader's
+// cache at `path` without materializing the CSR. Rejects mismatched shapes
+// with InvalidArgument, and fails loudly — with the reader's
 // panel-boundary error — if the file mutates mid-stream.
 Result<LinBpResult> PropagateLinBPStreaming(
     const std::string& path, const Labeling& seeds, const DenseMatrix& h,

@@ -192,23 +192,19 @@ Status FgrServer::RunEstimate(const Request& request,
     outcome->num_nodes = mapped->num_nodes();
     outcome->num_edges = mapped->num_edges();
     content_hash = mapped->content_hash();
-    // Resident: one whole-matrix panel per pass over the mapped CSR — the
-    // exact AbsorbPanel sequence ComputeGraphStatistics runs in-core, so
-    // the statistics match the offline CLI bit for bit. The lambda
-    // captures only the mapping (which owns the labels); the summarizer
-    // copies them once, and only on the cold path that runs it.
+    // Resident: the shared ℓ-pass body over the mapped CSR as one panel —
+    // what ComputeGraphStatistics runs in-core, so the statistics match
+    // the offline CLI bit for bit. The lambda captures only the mapping
+    // (which owns the labels); the summarizer copies them once, and only
+    // on the cold path that runs it.
     compute = [mapped, path_type](int max_length) -> Result<DatasetSummary> {
-      PanelSummarizer summarizer(mapped->labels(), max_length, path_type);
-      const CsrPanelView whole = mapped->View();
-      for (int length = 1; length <= max_length; ++length) {
-        FGR_TRACE_SPAN("summarize/pass", length);
-        summarizer.BeginPass(length);
-        summarizer.AbsorbPanel(whole);
-        summarizer.EndPass();
-      }
+      WholeMatrixSource whole(mapped->View());
+      Result<GraphStatistics> stats =
+          SummarizePanels(whole, mapped->labels(), max_length, path_type,
+                          NormalizationVariant::kRowStochastic);
       return SummaryFromStatistics(
-          summarizer.Finish(NormalizationVariant::kRowStochastic), path_type,
-          max_length, mapped->num_nodes(),
+          std::move(stats).value(), path_type, max_length,
+          mapped->num_nodes(),
           static_cast<std::int32_t>(mapped->labels().num_classes()));
     };
   } else if (acquired.status().code() == StatusCode::kFailedPrecondition) {

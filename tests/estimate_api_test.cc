@@ -103,24 +103,6 @@ TEST(EstimateApiTest, BudgetRouteStreamsBitIdenticallyWhenSerial) {
   EXPECT_EQ(streamed.value().h.data(), in_core.value().h.data());
 }
 
-TEST(EstimateApiTest, StreamingWrapperRoundTripsExactly) {
-  SetNumThreads(1);
-  Fixture fixture = MakeFixture("api_streaming_wrapper");
-  BlockRowReaderOptions reader;
-  reader.memory_budget_bytes = 8192;
-  auto wrapped = EstimateDceStreaming(fixture.path, fixture.seeds,
-                                      TestOptions().dce, reader);
-  EstimateOptions unified = TestOptions();
-  unified.memory_budget_bytes = reader.memory_budget_bytes;
-  unified.reader = reader;
-  auto routed =
-      Estimate(DatasetRef::FgrBin(fixture.path, &fixture.seeds), unified);
-  SetNumThreads(0);
-  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
-  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-  EXPECT_EQ(routed.value().h.data(), wrapped.value().h.data());
-}
-
 TEST(EstimateApiTest, RejectsMalformedDatasetRefs) {
   Fixture fixture = MakeFixture("api_errors");
 

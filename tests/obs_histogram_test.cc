@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -86,6 +88,38 @@ TEST(SampleRingTest, ConcurrentWritersLandIntactSamples) {
     EXPECT_GE(whole, 1) << q;
     EXPECT_LE(whole, kThreads) << q;
   }
+}
+
+// Publish race: Record claims its slot before it stores the sample, so
+// until the ring first fills a concurrent reader can find a claimed slot
+// that holds no sample yet. Writers record one positive constant, so no
+// quantile a reader sees may fall below it. Each writer has at most one
+// claimed-but-unpublished slot, so once more slots than writers are
+// claimed some sample is published and 0 ("no sample") is a wrong answer.
+// Many short rounds on fresh rings keep readers inside the filling window,
+// where the race lives.
+TEST(SampleRingTest, ReadersNeverCountUnpublishedSlots) {
+  constexpr std::size_t kSlots = 4096;
+  constexpr std::int64_t kSample = 1000;
+  constexpr int kRounds = 200;
+  constexpr int kWriters = 4;
+  double lowest = 1.0;
+  for (int round = 0; round < kRounds; ++round) {
+    auto ring = std::make_unique<SampleRing<kSlots>>();
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&ring] {
+        while (ring->count() < kSlots) ring->Record(kSample);
+      });
+    }
+    while (ring->count() < kSlots) {
+      if (ring->count() > static_cast<std::uint64_t>(kWriters)) {
+        lowest = std::min(lowest, ring->QuantileSeconds(0.0));
+      }
+    }
+    for (std::thread& writer : writers) writer.join();
+  }
+  EXPECT_GE(lowest, static_cast<double>(kSample) * 1e-9);
 }
 
 }  // namespace

@@ -421,35 +421,6 @@ TEST(BlockRowReaderTest, BitFlipBetweenPassesFailsTheSyncReader) {
       << status.ToString();
 }
 
-TEST(StreamingEquivalenceTest, PrefetchedStatisticsAreBitIdenticalToSync) {
-  ThreadGuard guard;
-  const StreamFixture fixture = MakeStreamFixture(1200, "stats_prefetch");
-  for (int threads : {1, 4}) {
-    SetNumThreads(threads);
-    for (std::int64_t rows : PanelSweep(1200)) {
-      BlockRowReaderOptions sync_options = PanelOptions(rows);
-      sync_options.prefetch = false;
-      auto sync = ComputeGraphStatisticsStreaming(
-          fixture.path, fixture.seeds, 5, PathType::kNonBacktracking,
-          NormalizationVariant::kRowStochastic, sync_options);
-      ASSERT_TRUE(sync.ok()) << sync.status().ToString();
-      auto prefetched = ComputeGraphStatisticsStreaming(
-          fixture.path, fixture.seeds, 5, PathType::kNonBacktracking,
-          NormalizationVariant::kRowStochastic, PanelOptions(rows));
-      ASSERT_TRUE(prefetched.ok()) << prefetched.status().ToString();
-      ASSERT_EQ(prefetched.value().m_raw.size(), sync.value().m_raw.size());
-      // Prefetching moves *where* reads happen, never panel order or
-      // content, so the match is bitwise at every thread count.
-      for (std::size_t l = 0; l < sync.value().m_raw.size(); ++l) {
-        EXPECT_EQ(prefetched.value().m_raw[l].data(),
-                  sync.value().m_raw[l].data())
-            << threads << " threads, panel rows " << rows << ", length "
-            << l + 1;
-      }
-    }
-  }
-}
-
 // --- streamed LinBP propagation -------------------------------------------
 
 TEST(StreamingEquivalenceTest, StreamedLinBpIsBitIdenticalInSerial) {
@@ -465,19 +436,16 @@ TEST(StreamingEquivalenceTest, StreamedLinBpIsBitIdenticalInSerial) {
       RunLinBp(fixture.graph, fixture.seeds, estimate.h);
 
   for (std::int64_t rows : PanelSweep(900)) {
-    for (bool prefetch : {false, true}) {
-      BlockRowReaderOptions options = PanelOptions(rows);
-      options.prefetch = prefetch;
-      auto streamed = PropagateLinBPStreaming(
-          fixture.path, fixture.seeds, estimate.h, LinBpOptions(), options);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-      EXPECT_EQ(streamed.value().beliefs.data(), in_core.beliefs.data())
-          << "panel rows " << rows << ", prefetch " << prefetch;
-      EXPECT_EQ(streamed.value().epsilon, in_core.epsilon);
-      EXPECT_EQ(streamed.value().rho_w, in_core.rho_w);
-      EXPECT_EQ(streamed.value().rho_h, in_core.rho_h);
-      EXPECT_EQ(streamed.value().iterations_run, in_core.iterations_run);
-    }
+    auto streamed = PropagateLinBPStreaming(fixture.path, fixture.seeds,
+                                            estimate.h, LinBpOptions(),
+                                            PanelOptions(rows));
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(streamed.value().beliefs.data(), in_core.beliefs.data())
+        << "panel rows " << rows;
+    EXPECT_EQ(streamed.value().epsilon, in_core.epsilon);
+    EXPECT_EQ(streamed.value().rho_w, in_core.rho_w);
+    EXPECT_EQ(streamed.value().rho_h, in_core.rho_h);
+    EXPECT_EQ(streamed.value().iterations_run, in_core.iterations_run);
   }
 }
 
@@ -520,6 +488,32 @@ TEST(StreamingEquivalenceTest, StreamedLinBpEchoCancellationMatches) {
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_EQ(streamed.value().beliefs.data(), in_core.beliefs.data());
   EXPECT_EQ(streamed.value().iterations_run, in_core.iterations_run);
+}
+
+// The shared LinBP body over a streamed source whose file is truncated
+// after Open: the read error must come back as the result — from the ρ(W)
+// pass when no hint is given, from the first iteration pass otherwise —
+// with no beliefs and no crash.
+TEST(StreamingEquivalenceTest, SharedLinBpBodyReturnsTheReadError) {
+  const StreamFixture fixture = MakeStreamFixture(600, "linbp_truncated");
+  const std::string copy = CloneFixture(fixture, "linbp_truncated_copy");
+  auto source = StreamedPanelSource::Open(copy, PanelOptions(16),
+                                          fixture.seeds.num_nodes());
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  std::filesystem::resize_file(copy, std::filesystem::file_size(copy) / 2);
+
+  const DenseMatrix h = DenseMatrix::FromRows(
+      {{0.8, 0.1, 0.1}, {0.1, 0.8, 0.1}, {0.1, 0.1, 0.8}});
+  for (double rho_w_hint : {0.0, 5.0}) {
+    LinBpOptions options;
+    options.rho_w_hint = rho_w_hint;
+    auto result =
+        RunLinBpOverPanels(*source.value(), fixture.seeds, h, options);
+    ASSERT_FALSE(result.ok()) << "hint " << rho_w_hint;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("truncated"), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(StreamingEquivalenceTest, StreamedLinBpRejectsBadShapes) {
@@ -613,7 +607,7 @@ TEST(StreamingEquivalenceTest, LceStatisticsFoldTheSameOverPanelRanges) {
 
 // --- end-to-end DCE over the mimic datasets -------------------------------
 
-// Acceptance gate: streamed EstimateDceStreaming must land within 1e-9 of
+// Acceptance gate: the streamed fgr::Estimate route must land within 1e-9 of
 // the in-core estimate on every mimic dataset, at panel sizes down to a
 // single block-row, in both the serial and 4-thread CI runs (the suite
 // executes under both settings). The mimics are scaled down so the sweep
@@ -636,8 +630,13 @@ TEST(StreamingEquivalenceTest, StreamedDceMatchesInCoreOnAllMimics) {
     options.restarts = 2;
     const EstimationResult in_core = EstimateDce(graph, seeds, options);
     for (std::int64_t rows : {std::int64_t{1}, graph.num_nodes()}) {
+      EstimateOptions streamed_options;
+      streamed_options.dce = options;
+      streamed_options.reader = PanelOptions(rows);
+      streamed_options.memory_budget_bytes =
+          streamed_options.reader.memory_budget_bytes;
       auto streamed =
-          EstimateDceStreaming(path, seeds, options, PanelOptions(rows));
+          Estimate(DatasetRef::FgrBin(path, &seeds), streamed_options);
       ASSERT_TRUE(streamed.ok())
           << spec.name << ": " << streamed.status().ToString();
       EXPECT_TRUE(AllClose(streamed.value().h, in_core.h, 1e-9))
