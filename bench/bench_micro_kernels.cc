@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "fgr/fgr.h"
+#include "obs/counters.h"
 #include "obs/trace.h"
 
 namespace fgr {
@@ -247,13 +248,22 @@ BENCHMARK(BM_GraphSummarization)
 void BM_SpectralRadius(benchmark::State& state) {
   const Fixture& fixture = SharedFixture(state.range(0), 25.0);
   SetNumThreads(static_cast<int>(state.range(1)));
+  const std::int64_t spmv_before =
+      obs::GetCounter(obs::PipelineCounter::kKernelSpmvCalls);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SpectralRadius(fixture.graph.adjacency()));
   }
   SetNumThreads(0);
+  // Multiplies (passes over W) per radius: one SpMV each on the in-core
+  // matrix.
+  state.counters["multiplies"] = benchmark::Counter(
+      static_cast<double>(
+          obs::GetCounter(obs::PipelineCounter::kKernelSpmvCalls) -
+          spmv_before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SpectralRadius)
-    ->ArgsProduct({{10000}, {1, 4}})
+    ->ArgsProduct({{10000, 100000}, {1, 4}})
     ->ArgNames({"n", "threads"});
 
 void BM_LinBpPropagation(benchmark::State& state) {

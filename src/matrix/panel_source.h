@@ -1,6 +1,6 @@
 // A source of adjacency-matrix row panels: the one abstraction every
 // block-row consumer of W is written against — the factorized ℓ-pass
-// summarization (core/path_stats.h), the ρ(W) power iteration
+// summarization (core/path_stats.h), the ρ(W) Lanczos iteration
 // (matrix/spectral.h) and LinBP (prop/linbp.h).
 //
 // Each ForEachPanel call is one full pass: it visits row panels in

@@ -93,8 +93,8 @@ class CsrPanelView {
   // entries of `y` are untouched. Checks x.size() == cols() and that `y`
   // is long enough. Row-parallel and bit-reproducible across thread counts
   // like MultiplyInto. SparseMatrix::MultiplyVector runs on a whole-matrix
-  // view of this kernel, so power iteration over a mapped cache and over an
-  // in-core matrix takes the identical code path.
+  // view of this kernel, so the ρ(W) Lanczos iteration over a mapped cache
+  // and over an in-core matrix takes the identical code path.
   void MultiplyVectorInto(const std::vector<double>& x,
                           std::vector<double>* y) const;
 

@@ -69,7 +69,7 @@ LinBpResult RunLinBp(const CsrPanelView& adjacency,
 // The LinBP body, written once over any panel source; both RunLinBp
 // overloads run it on the single-panel source and PropagateLinBPStreaming
 // (prop/linbp_streaming.h) on a streamed one. ρ(W), unless hinted, costs
-// one pass per power-iteration multiply; each iteration is one pass in
+// one pass per Lanczos multiply; each iteration is one pass in
 // which every panel fills its rows of W·F and folds them into F_next.
 // `degrees` (the weighted degrees, read only with echo cancellation) may
 // be null, in which case one extra pass sums them. Fails only with the
