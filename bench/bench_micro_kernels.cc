@@ -421,6 +421,23 @@ BENCHMARK(BM_FgrBinRead)
     ->ArgsProduct({{100000}, {1, 4}})
     ->ArgNames({"n", "threads"});
 
+// The zero-copy reader on the same cache: the same validation as
+// BM_FgrBinRead over the mapped sections, plus the FNV-1a content hash and
+// the degree sidecar, minus the section copies.
+void BM_MappedFgrBinOpen(benchmark::State& state) {
+  const std::string& path = IngestionFixturePath(state.range(0), true);
+  SetNumThreads(static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    auto mapped = MappedFgrBin::Open(path);
+    FGR_CHECK(mapped.ok()) << mapped.status().ToString();
+    benchmark::DoNotOptimize(mapped.value().content_hash());
+  }
+  SetNumThreads(0);
+}
+BENCHMARK(BM_MappedFgrBinOpen)
+    ->ArgsProduct({{100000}, {1, 4}})
+    ->ArgNames({"n", "threads"});
+
 // In-core vs streamed summarization: the same graph summarized from RAM
 // and from its .fgrbin cache at a sweep of panel sizes. rows_per_panel = 0
 // is the budget-default single panel (pure streaming overhead: ℓmax passes

@@ -139,6 +139,18 @@ Result<Labeling> MakeValidatedLabeling(std::vector<ClassId> labels,
   return Labeling::FromVector(std::move(labels), num_classes);
 }
 
+Status ValidateEdgeWeights(const double* values, std::int64_t nnz,
+                           const std::string& path) {
+  for (std::int64_t i = 0; i < nnz; ++i) {
+    if (!(values[i] > 0.0) || !std::isfinite(values[i])) {
+      return Status::InvalidArgument(
+          path + ": non-positive or non-finite edge weight at entry " +
+          std::to_string(i));
+    }
+  }
+  return Status::Ok();
+}
+
 Result<Labeling> ReadFgrBinLabels(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open " + path);
@@ -226,34 +238,29 @@ Result<LabeledGraph> ReadFgrBin(const std::string& path) {
   } else {
     values.resize(nnz);
     if (!ReadPod(in, values.data(), values.size())) return Truncated(path);
-    // Same invariant Graph::FromEdges enforces on the text path: weights
-    // must be positive and finite, or degree-normalized propagation
-    // divides by garbage downstream.
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (!(values[i] > 0.0) || !std::isfinite(values[i])) {
-        return Status::InvalidArgument(
-            path + ": non-positive or non-finite edge weight at entry " +
-            std::to_string(i));
-      }
-    }
-  }
-
-  Result<SparseMatrix> adjacency =
-      SparseMatrix::FromCsr(info.num_nodes, info.num_nodes,
-                            std::move(row_ptr), std::move(col_idx),
-                            std::move(values));
-  if (!adjacency.ok()) {
-    return Status::InvalidArgument(path + ": " +
-                                   adjacency.status().message());
-  }
-  Result<Graph> graph = Graph::FromAdjacency(std::move(adjacency).value());
-  if (!graph.ok()) {
-    return Status::InvalidArgument(path + ": " + graph.status().message());
   }
 
   LabeledGraph result;
   result.name = path;
-  result.graph = std::move(graph).value();
+  {
+    FGR_TRACE_SPAN("io/validate_fgrbin");
+    if (!info.unit_weights) {
+      FGR_RETURN_IF_ERROR(ValidateEdgeWeights(values.data(), info.nnz, path));
+    }
+    Result<SparseMatrix> adjacency =
+        SparseMatrix::FromCsr(info.num_nodes, info.num_nodes,
+                              std::move(row_ptr), std::move(col_idx),
+                              std::move(values));
+    if (!adjacency.ok()) {
+      return Status::InvalidArgument(path + ": " +
+                                     adjacency.status().message());
+    }
+    Result<Graph> graph = Graph::FromAdjacency(std::move(adjacency).value());
+    if (!graph.ok()) {
+      return Status::InvalidArgument(path + ": " + graph.status().message());
+    }
+    result.graph = std::move(graph).value();
+  }
 
   if (info.has_labels) {
     std::vector<ClassId> labels(n);

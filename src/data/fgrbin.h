@@ -23,9 +23,12 @@
 //           —     labels             (n × int32, -1 = unlabeled)
 //           —     gold               (k×k × double, row-major)
 //
-// Readers fully validate structure (magic, sizes, CSR invariants via
-// SparseMatrix::FromCsr, symmetry via Graph::FromAdjacency, label range),
-// so a truncated or corrupted cache yields an error Status, never UB.
+// Readers fully validate structure (magic, sizes, positive finite weights,
+// CSR row invariants via SparseMatrix::ValidateCsr, symmetry and a zero
+// diagonal via Graph::ValidateAdjacency — one O(nnz) merge, no per-entry
+// search — and label range), so a truncated or corrupted cache yields an
+// error Status, never UB. ReadFgrBin and MappedFgrBin::Open run the same
+// checks in the same order, so they accept and reject the same files.
 
 #ifndef FGR_DATA_FGRBIN_H_
 #define FGR_DATA_FGRBIN_H_
@@ -104,6 +107,11 @@ Result<Labeling> ReadFgrBinLabels(const std::string& path);
 Result<Labeling> MakeValidatedLabeling(std::vector<ClassId> labels,
                                        std::int32_t num_classes,
                                        const std::string& path);
+
+// Rejects non-positive or non-finite weights, as Graph::FromEdges does on
+// the text path. Shared by ReadFgrBin and MappedFgrBin::Open.
+Status ValidateEdgeWeights(const double* values, std::int64_t nnz,
+                           const std::string& path);
 
 }  // namespace fgr
 

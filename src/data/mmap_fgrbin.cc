@@ -5,14 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "graph/graph.h"
 #include "obs/trace.h"
-#include "util/parallel.h"
 
 namespace fgr {
 namespace {
@@ -27,95 +25,6 @@ std::uint64_t FnvAccumulate(std::uint64_t hash, const unsigned char* data,
     hash *= kFnvPrime;
   }
   return hash;
-}
-
-// Validates the mapped CSR sections with the same invariants the copy path
-// enforces (SparseMatrix::FromCsr + Graph::FromAdjacency + the weight check
-// in ReadFgrBin): monotone row_ptr spanning [0, nnz], strictly ascending
-// in-range columns, no diagonal entries, positive finite values, numeric
-// symmetry. Sharded like FromCsr; the lowest-row error wins.
-Status ValidateMappedCsr(const std::string& path, std::int64_t n,
-                         std::int64_t nnz, const std::int64_t* row_ptr,
-                         const std::int64_t* col_idx, const double* values) {
-  FGR_TRACE_SPAN("io/validate_fgrbin");
-  if (row_ptr[0] != 0 || row_ptr[n] != nnz) {
-    return Status::InvalidArgument(path +
-                                   ": CSR row_ptr must span [0, nnz]");
-  }
-  const auto value_at = [values](std::int64_t p) {
-    return values == nullptr ? 1.0 : values[p];
-  };
-  const int shards = NumShards(n, /*grain=*/4096);
-  std::vector<std::string> shard_error(static_cast<std::size_t>(shards));
-  ParallelForShards(0, n, shards, [&](std::int64_t lo, std::int64_t hi,
-                                      int s) {
-    std::string& error = shard_error[static_cast<std::size_t>(s)];
-    for (std::int64_t r = lo; r < hi; ++r) {
-      const std::int64_t begin = row_ptr[r];
-      const std::int64_t end = row_ptr[r + 1];
-      if (begin > end || begin < 0 || end > nnz) {
-        error = "non-monotone row_ptr at row " + std::to_string(r);
-        return;
-      }
-      std::int64_t previous = -1;
-      for (std::int64_t p = begin; p < end; ++p) {
-        const std::int64_t c = col_idx[p];
-        if (c < 0 || c >= n) {
-          error = "column " + std::to_string(c) + " out of range at row " +
-                  std::to_string(r);
-          return;
-        }
-        if (c <= previous) {
-          error = "columns not strictly ascending in row " +
-                  std::to_string(r);
-          return;
-        }
-        if (c == r) {
-          error = "diagonal entry at row " + std::to_string(r);
-          return;
-        }
-        previous = c;
-        if (values != nullptr) {
-          const double v = values[p];
-          if (!(v > 0.0) || !std::isfinite(v)) {
-            error = "non-positive or non-finite edge weight at entry " +
-                    std::to_string(p);
-            return;
-          }
-        }
-      }
-    }
-  });
-  for (const std::string& error : shard_error) {
-    if (!error.empty()) return Status::InvalidArgument(path + ": " + error);
-  }
-
-  // Numeric symmetry by per-entry binary search, mirroring
-  // SparseMatrix::IsSymmetric.
-  std::vector<char> asymmetric(static_cast<std::size_t>(shards), 0);
-  ParallelForShards(0, n, shards, [&](std::int64_t lo, std::int64_t hi,
-                                      int s) {
-    for (std::int64_t r = lo; r < hi; ++r) {
-      for (std::int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-        const std::int64_t c = col_idx[p];
-        const std::int64_t* begin = col_idx + row_ptr[c];
-        const std::int64_t* end = col_idx + row_ptr[c + 1];
-        const std::int64_t* it = std::lower_bound(begin, end, r);
-        if (it == end || *it != r ||
-            value_at(it - col_idx) != value_at(p)) {
-          asymmetric[static_cast<std::size_t>(s)] = 1;
-          return;
-        }
-      }
-    }
-  });
-  for (char bad : asymmetric) {
-    if (bad) {
-      return Status::InvalidArgument(path +
-                                     ": adjacency matrix is not symmetric");
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -235,10 +144,19 @@ Result<MappedFgrBin> MappedFgrBin::Open(const std::string& path) {
           ? nullptr
           : reinterpret_cast<const double*>(bytes + info.values_offset);
 
-  Status valid = ValidateMappedCsr(path, info.num_nodes, info.nnz,
-                                   mapped.row_ptr_, mapped.col_idx_,
-                                   mapped.values_);
-  if (!valid.ok()) return valid;
+  {
+    FGR_TRACE_SPAN("io/validate_fgrbin");
+    if (mapped.values_ != nullptr) {
+      FGR_RETURN_IF_ERROR(ValidateEdgeWeights(mapped.values_, info.nnz, path));
+    }
+    Status valid = SparseMatrix::ValidateCsr(info.num_nodes, info.num_nodes,
+                                             info.nnz, mapped.row_ptr_,
+                                             mapped.col_idx_);
+    if (valid.ok()) valid = Graph::ValidateAdjacency(mapped.View());
+    if (!valid.ok()) {
+      return Status::InvalidArgument(path + ": " + valid.message());
+    }
+  }
 
   mapped.content_hash_ =
       HashBytes(bytes, static_cast<std::size_t>(info.file_size));

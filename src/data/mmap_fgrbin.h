@@ -6,11 +6,13 @@
 // the kernels straight over the mapped sections. MappedFgrBin provides it:
 //
 //   * header validation is shared with the other readers (InspectFgrBin),
-//     and the CSR invariants (monotone row_ptr spanning [0, nnz], strictly
-//     ascending in-range columns, no diagonal, positive finite weights,
-//     symmetry) are checked over the mapped arrays exactly as
-//     SparseMatrix::FromCsr + Graph::FromAdjacency check them on the copy
-//     path, so both readers reject the same corrupt files;
+//     and the CSR sections are checked over the mapped arrays by the very
+//     functions the copy path runs, in its order: ValidateEdgeWeights,
+//     SparseMatrix::ValidateCsr (monotone row_ptr spanning [0, nnz],
+//     strictly ascending in-range columns) and Graph::ValidateAdjacency
+//     (symmetry and a zero diagonal from one O(nnz) merge, no per-entry
+//     search) — so both readers reject the same corrupt files with the
+//     same messages;
 //   * View() is a whole-matrix CsrPanelView aliasing the mapped row_ptr /
 //     col_idx / values sections — the same views SparseMatrix hands the
 //     SpMM kernels, so summarization and propagation over a mapped cache

@@ -69,19 +69,23 @@ Result<Graph> Graph::FromEdges(NodeId num_nodes,
   return FromAdjacency(std::move(adjacency));
 }
 
-Result<Graph> Graph::FromAdjacency(SparseMatrix adjacency) {
+Status Graph::ValidateAdjacency(const CsrPanelView& adjacency) {
   if (adjacency.rows() != adjacency.cols()) {
     return Status::InvalidArgument("adjacency matrix must be square");
   }
-  if (!adjacency.IsSymmetric()) {
-    return Status::InvalidArgument("adjacency matrix must be symmetric");
+  const CsrPanelView::Symmetry symmetry = adjacency.CheckSymmetry();
+  if (!symmetry.symmetric) {
+    return Status::InvalidArgument("adjacency matrix is not symmetric");
   }
-  for (double d : adjacency.DiagonalEntries()) {
-    if (d != 0.0) {
-      return Status::InvalidArgument(
-          "adjacency matrix must have a zero diagonal (no self-loops)");
-    }
+  if (!symmetry.zero_diagonal) {
+    return Status::InvalidArgument(
+        "adjacency matrix must have a zero diagonal (no self-loops)");
   }
+  return Status::Ok();
+}
+
+Result<Graph> Graph::FromAdjacency(SparseMatrix adjacency) {
+  FGR_RETURN_IF_ERROR(ValidateAdjacency(adjacency.View()));
   Graph graph;
   graph.num_edges_ = adjacency.nnz() / 2;
   graph.degrees_ = adjacency.RowSums();

@@ -44,6 +44,10 @@ class Graph {
   // Fails when the matrix is not square/symmetric or has diagonal entries.
   static Result<Graph> FromAdjacency(SparseMatrix adjacency);
 
+  // FromAdjacency's check over a whole-matrix view (square, symmetric, zero
+  // diagonal; one CheckSymmetry pass), also run by MappedFgrBin::Open.
+  static Status ValidateAdjacency(const CsrPanelView& adjacency);
+
   NodeId num_nodes() const { return adjacency_.rows(); }
 
   // Number of undirected edges m (half of nnz for a 0/1 matrix).

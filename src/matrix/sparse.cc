@@ -181,6 +181,67 @@ void CsrPanelView::MultiplyVectorInto(const std::vector<double>& x,
                     });
 }
 
+CsrPanelView::Symmetry CsrPanelView::CheckSymmetry() const {
+  FGR_CHECK_EQ(first_row_, 0) << "symmetry needs a whole-matrix view";
+  if (rows_ != cols_) return {false, false};
+  const Index base = row_ptr_[0];
+  const auto col = [&](Index p) { return col_idx_[p - base]; };
+  const auto value = [&](Index p) {
+    return values_ == nullptr ? 1.0 : values_[p - base];
+  };
+  std::atomic<bool> symmetric{true};
+  std::atomic<bool> zero_diagonal{true};
+  // cursor[j]: row j's first upper entry (column > j) not yet matched.
+  std::vector<Index> cursor(static_cast<std::size_t>(rows_));
+  // Shard [lo, hi) owns target rows j in [lo, hi): it scans rows i >= lo in
+  // ascending order for lower entries (i, j), so each target row's cursor
+  // meets its mirrors in column order. False on the first mismatch.
+  const auto merge = [&](Index lo, Index hi) {
+    for (Index i = lo; i < rows_; ++i) {
+      if (!symmetric.load(std::memory_order_relaxed)) return true;
+      const Index row_end = row_ptr_[i + 1];
+      Index p = row_ptr_[i];
+      if (lo > 0) {  // one seek per row past the columns other shards own
+        p = base + (std::lower_bound(col_idx_ + (p - base),
+                                     col_idx_ + (row_end - base), lo) -
+                    col_idx_);
+      }
+      for (; p < row_end && col(p) < std::min(i, hi); ++p) {
+        Index& q = cursor[static_cast<std::size_t>(col(p))];
+        const Index q_end = row_ptr_[col(p) + 1];
+        // Upper entries of row j before column i have no mirror: the rows
+        // that would hold one were scanned already.
+        for (; q < q_end && col(q) < i; ++q) {
+          if (value(q) != 0.0) return false;
+        }
+        const bool mirrored = q < q_end && col(q) == i;
+        if (value(p) != (mirrored ? value(q++) : 0.0)) return false;
+      }
+      if (i >= hi) continue;
+      // p is row i's diagonal slot; its upper entries start after it.
+      if (p < row_end && col(p) == i) {
+        const double d = value(p++);
+        if (std::isnan(d)) return false;  // At(i, i) != itself
+        if (d != 0.0) zero_diagonal.store(false, std::memory_order_relaxed);
+      }
+      cursor[static_cast<std::size_t>(i)] = p;
+    }
+    // Upper entries no mirror claimed must hold 0.0.
+    for (Index j = lo; j < hi; ++j) {
+      const Index j_end = row_ptr_[j + 1];
+      for (Index q = cursor[static_cast<std::size_t>(j)]; q < j_end; ++q) {
+        if (value(q) != 0.0) return false;
+      }
+    }
+    return true;
+  };
+  ParallelForShards(ShardByWeight(row_ptr_, rows_, NumShards(rows_)),
+                    [&](Index lo, Index hi, int /*shard*/) {
+                      if (!merge(lo, hi)) symmetric.store(false);
+                    });
+  return {symmetric.load(), zero_diagonal.load()};
+}
+
 SparseMatrix SparseMatrix::FromTriplets(Index rows, Index cols,
                                         std::vector<Triplet> triplets) {
   FGR_CHECK_GE(rows, 0);
@@ -300,34 +361,43 @@ Result<SparseMatrix> SparseMatrix::FromCsr(Index rows, Index cols,
   if (static_cast<Index>(values.size()) != nnz) {
     return Status::InvalidArgument("CSR col_idx/values length mismatch");
   }
-  if (row_ptr.front() != 0 || row_ptr.back() != nnz) {
+  FGR_RETURN_IF_ERROR(
+      ValidateCsr(rows, cols, nnz, row_ptr.data(), col_idx.data()));
+  SparseMatrix result;
+  result.rows_ = rows;
+  result.cols_ = cols;
+  result.row_ptr_ = std::move(row_ptr);
+  result.col_idx_ = std::move(col_idx);
+  result.values_ = std::move(values);
+  return result;
+}
+
+Status SparseMatrix::ValidateCsr(Index rows, Index cols, Index nnz,
+                                 const Index* row_ptr, const Index* col_idx) {
+  if (row_ptr[0] != 0 || row_ptr[rows] != nnz) {
     return Status::InvalidArgument("CSR row_ptr must span [0, nnz]");
   }
-  // Per-shard validation: monotone row_ptr, strictly ascending in-range
-  // columns within each row. First error (lowest row) wins.
   const int shards = NumShards(rows, /*grain=*/4096);
   std::vector<std::string> shard_error(static_cast<std::size_t>(shards));
   ParallelForShards(0, rows, shards, [&](Index lo, Index hi, int s) {
+    std::string& error = shard_error[static_cast<std::size_t>(s)];
     for (Index r = lo; r < hi; ++r) {
-      const Index begin = row_ptr[static_cast<std::size_t>(r)];
-      const Index end = row_ptr[static_cast<std::size_t>(r) + 1];
+      const Index begin = row_ptr[r];
+      const Index end = row_ptr[r + 1];
       if (begin > end || begin < 0 || end > nnz) {
-        shard_error[static_cast<std::size_t>(s)] =
-            "non-monotone row_ptr at row " + std::to_string(r);
+        error = "non-monotone row_ptr at row " + std::to_string(r);
         return;
       }
       Index previous = -1;
       for (Index p = begin; p < end; ++p) {
-        const Index c = col_idx[static_cast<std::size_t>(p)];
+        const Index c = col_idx[p];
         if (c < 0 || c >= cols) {
-          shard_error[static_cast<std::size_t>(s)] =
-              "column " + std::to_string(c) + " out of range at row " +
-              std::to_string(r);
+          error = "column " + std::to_string(c) + " out of range at row " +
+                  std::to_string(r);
           return;
         }
         if (c <= previous) {
-          shard_error[static_cast<std::size_t>(s)] =
-              "columns not strictly ascending in row " + std::to_string(r);
+          error = "columns not strictly ascending in row " + std::to_string(r);
           return;
         }
         previous = c;
@@ -337,13 +407,7 @@ Result<SparseMatrix> SparseMatrix::FromCsr(Index rows, Index cols,
   for (const std::string& error : shard_error) {
     if (!error.empty()) return Status::InvalidArgument("CSR: " + error);
   }
-  SparseMatrix result;
-  result.rows_ = rows;
-  result.cols_ = cols;
-  result.row_ptr_ = std::move(row_ptr);
-  result.col_idx_ = std::move(col_idx);
-  result.values_ = std::move(values);
-  return result;
+  return Status::Ok();
 }
 
 SparseMatrix SparseMatrix::Diagonal(const std::vector<double>& diagonal) {
@@ -418,15 +482,6 @@ std::vector<double> SparseMatrix::RowSums() const {
   return sums;
 }
 
-std::vector<double> SparseMatrix::DiagonalEntries() const {
-  FGR_CHECK_EQ(rows_, cols_);
-  std::vector<double> diagonal(static_cast<std::size_t>(rows_), 0.0);
-  for (Index i = 0; i < rows_; ++i) {
-    diagonal[static_cast<std::size_t>(i)] = At(i, i);
-  }
-  return diagonal;
-}
-
 double SparseMatrix::At(Index row, Index col) const {
   FGR_CHECK(row >= 0 && row < rows_);
   FGR_CHECK(col >= 0 && col < cols_);
@@ -442,6 +497,11 @@ CsrPanelView SparseMatrix::View() const { return PanelView(0, rows_); }
 
 CsrPanelView SparseMatrix::PanelView(Index row_begin, Index row_end) const {
   FGR_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= rows_);
+  // A default-constructed matrix has an empty row_ptr: view it as no rows.
+  static constexpr Index kNoRows = 0;
+  if (row_ptr_.empty()) {
+    return CsrPanelView(0, 0, cols_, &kNoRows, nullptr, nullptr);
+  }
   // col_idx/values point at the panel's own first entry; the kernels index
   // them with row_ptr[r] - row_ptr[0], so the global slice lines up.
   const std::size_t base =
@@ -465,27 +525,7 @@ SparseMatrix SparseMatrix::Transpose() const {
 }
 
 bool SparseMatrix::IsSymmetric() const {
-  if (rows_ != cols_) return false;
-  // Row-parallel with an early-out flag: each entry (i, j) looks up (j, i)
-  // by binary search. This runs on every FromAdjacency call, including the
-  // 30M-entry matrices the binary dataset cache reloads.
-  std::atomic<bool> symmetric{true};
-  ParallelForShards(
-      ShardByWeight(row_ptr_, NumShards(rows_)),
-      [&](Index row_begin, Index row_end, int /*shard*/) {
-        for (Index i = row_begin; i < row_end; ++i) {
-          if (!symmetric.load(std::memory_order_relaxed)) return;
-          for (Index p = row_ptr_[static_cast<std::size_t>(i)];
-               p < row_ptr_[static_cast<std::size_t>(i) + 1]; ++p) {
-            const Index j = col_idx_[static_cast<std::size_t>(p)];
-            if (At(j, i) != values_[static_cast<std::size_t>(p)]) {
-              symmetric.store(false, std::memory_order_relaxed);
-              return;
-            }
-          }
-        }
-      });
-  return symmetric.load(std::memory_order_relaxed);
+  return View().CheckSymmetry().symmetric;
 }
 
 void SparseMatrix::Scale(double factor) {

@@ -98,6 +98,19 @@ class CsrPanelView {
   void MultiplyVectorInto(const std::vector<double>& x,
                           std::vector<double>* y) const;
 
+  struct Symmetry {
+    bool symmetric = true;      // SparseMatrix::IsSymmetric's answer
+    bool zero_diagonal = true;  // every stored diagonal entry is 0.0
+  };
+
+  // Exact symmetry test of a whole-matrix view (first_row() == 0) in one
+  // O(nnz) merge, no per-entry search: every stored (i, j, v) must have
+  // At(j, i) == v, an absent entry reading 0.0 (so an unmirrored explicit
+  // 0.0 passes and a NaN never does). Each lower entry (i, j) meets row j's
+  // ascending upper entries through a per-row cursor; sharded over the
+  // target rows j by nnz, with an early-out. A non-square view fails.
+  Symmetry CheckSymmetry() const;
+
  private:
   Index first_row_;
   Index rows_;
@@ -127,6 +140,12 @@ class SparseMatrix {
                                       std::vector<Index> row_ptr,
                                       std::vector<Index> col_idx,
                                       std::vector<double> values);
+
+  // FromCsr's row checks over raw arrays, also run by MappedFgrBin::Open:
+  // row_ptr rises monotonically from 0 to nnz and each row's columns are
+  // strictly ascending in [0, cols). Sharded; the lowest-row error wins.
+  static Status ValidateCsr(Index rows, Index cols, Index nnz,
+                            const Index* row_ptr, const Index* col_idx);
 
   // Diagonal matrix with the given entries.
   static SparseMatrix Diagonal(const std::vector<double>& diagonal);
@@ -170,9 +189,6 @@ class SparseMatrix {
   // Row sums; for a 0/1 symmetric adjacency matrix these are node degrees.
   std::vector<double> RowSums() const;
 
-  // Diagonal entries (zero when absent).
-  std::vector<double> DiagonalEntries() const;
-
   // Entry lookup by binary search within the row. O(log nnz_row).
   double At(Index row, Index col) const;
 
@@ -184,7 +200,7 @@ class SparseMatrix {
 
   SparseMatrix Transpose() const;
 
-  // Structural + numeric symmetry test (exact comparison).
+  // Structural + numeric symmetry test (exact; CsrPanelView::CheckSymmetry).
   bool IsSymmetric() const;
 
   // Scales all stored values by `factor`.

@@ -1,9 +1,10 @@
 // Corruption hardening for the .fgrbin readers: randomized truncations,
 // bit-flips, and header-size lies over a valid cache must always produce a
 // clean error Status (or, for a benign flip, a still-valid graph) — never a
-// crash, UB, or an OOM-sized allocation. Both readers are exercised: the
-// in-core ReadFgrBin and the out-of-core BlockRowReader, the latter drained
-// through a full streamed summarization so mid-stream validation runs too.
+// crash, UB, or an OOM-sized allocation. Every reader is exercised: the
+// in-core ReadFgrBin and MappedFgrBin (which must agree file for file) and
+// the out-of-core BlockRowReader, the latter drained through a full
+// streamed summarization so mid-stream validation runs too.
 // The CI ASan+UBSan job runs this suite, which is what turns "no UB" from
 // a hope into a check.
 
@@ -68,14 +69,24 @@ void WriteBytes(const std::string& path, const std::vector<char>& bytes) {
   FGR_CHECK(static_cast<bool>(out));
 }
 
-// Runs both readers over a (possibly corrupt) file. Every call must return
+// Runs every reader over a (possibly corrupt) file. Every call must return
 // — a Status or a valid result — and a reader that accepts the bytes must
 // hand back internally consistent data (the summarizer CHECKs coverage).
+// The two in-core readers run the same checks, so MappedFgrBin::Open must
+// accept exactly the files ReadFgrBin accepts, and reject the rest with
+// the same status.
 void DriveReaders(const std::string& path) {
   const FuzzFixture& fixture = SharedFixture();
   auto loaded = ReadFgrBin(path);
   if (loaded.ok()) {
     EXPECT_GE(loaded.value().graph.num_nodes(), 0);
+  }
+  auto mapped = MappedFgrBin::Open(path);
+  EXPECT_EQ(mapped.ok(), loaded.ok()) << (loaded.ok() ? mapped.status()
+                                                      : loaded.status())
+                                              .ToString();
+  if (!mapped.ok() && !loaded.ok()) {
+    EXPECT_EQ(mapped.status().ToString(), loaded.status().ToString());
   }
   BlockRowReaderOptions options;
   options.rows_per_panel = 37;
@@ -130,6 +141,44 @@ TEST(FgrBinFuzzTest, RandomBitFlipsNeverCrashEitherReader) {
     WriteBytes(path, bytes);
     DriveReaders(path);
   }
+}
+
+TEST(FgrBinFuzzTest, AsymmetricHubColumnIsRejectedByBothInCoreReaders) {
+  // Rewrite one column of the widest row to an unused column that keeps
+  // the row strictly ascending and in range: every row-local check passes,
+  // and only the mirror check can see that the new entry has no mirror.
+  const FuzzFixture& fixture = SharedFixture();
+  const SparseMatrix& a = fixture.data.graph.adjacency();
+  const auto& row_ptr = a.row_ptr();
+  const auto& col_idx = a.col_idx();
+  std::int64_t hub = 0;
+  for (std::int64_t r = 1; r < a.rows(); ++r) {
+    if (row_ptr[r + 1] - row_ptr[r] > row_ptr[hub + 1] - row_ptr[hub]) hub = r;
+  }
+  std::int64_t entry = -1;
+  for (std::int64_t p = row_ptr[hub]; p + 1 < row_ptr[hub + 1]; ++p) {
+    if (col_idx[p] + 1 < col_idx[p + 1] && col_idx[p] + 1 != hub) {
+      entry = p;
+      break;
+    }
+  }
+  ASSERT_GE(entry, 0) << "hub row " << hub << " has no column gap";
+  std::vector<char> bytes = fixture.bytes;
+  const std::int64_t n = a.rows();
+  const std::int64_t moved = col_idx[entry] + 1;
+  std::memcpy(bytes.data() + 40 + static_cast<std::size_t>(n + 1) * 8 +
+                  static_cast<std::size_t>(entry) * 8,
+              &moved, 8);
+  const std::string path = TempPath("fuzz_hub_asym.fgrbin");
+  WriteBytes(path, bytes);
+  auto loaded = ReadFgrBin(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("not symmetric"),
+            std::string::npos)
+      << loaded.status().ToString();
+  auto mapped = MappedFgrBin::Open(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().ToString(), loaded.status().ToString());
 }
 
 TEST(FgrBinFuzzTest, HeaderSizeLiesAreRejectedWithoutHugeAllocations) {
