@@ -490,30 +490,24 @@ Result<std::string> StrictString(const Json& json, const char* key,
 
 }  // namespace
 
-Result<Request> ParseRequest(const std::string& line, int* version_out) {
-  if (version_out != nullptr) *version_out = 0;
+Result<Request> ParseRequest(const std::string& line) {
   Result<Json> parsed = ParseJson(line);
   if (!parsed.ok()) return parsed.status();
   const Json& json = parsed.value();
   if (json.type() != Json::Type::kObject) {
     return Status::InvalidArgument("request must be a JSON object");
   }
+  const Json* version = json.Find("v");
+  if (version != nullptr &&
+      !(version->type() == Json::Type::kNumber &&
+        version->number_value() == kServeProtocolVersion)) {
+    return Status::InvalidArgument(
+        "unsupported protocol version " + version->Dump() +
+        " (this server speaks only v" +
+        std::to_string(kServeProtocolVersion) + ")");
+  }
 
   Request request;
-  Result<std::int64_t> version = StrictInt(json, "v", 0);
-  if (!version.ok()) return version.status();
-  if (version.value() < 0 || version.value() > kServeProtocolVersion) {
-    // The client clearly speaks the versioned protocol — answer it with
-    // the structured error shape.
-    if (version_out != nullptr) *version_out = kServeProtocolVersion;
-    return Status::InvalidArgument(
-        "unsupported protocol version " + std::to_string(version.value()) +
-        " (this server speaks v" + std::to_string(kServeProtocolVersion) +
-        ")");
-  }
-  request.version = static_cast<int>(version.value());
-  if (version_out != nullptr) *version_out = request.version;
-
   Result<std::string> op_field = StrictString(json, "op", "");
   if (!op_field.ok()) return op_field.status();
   const std::string& op = op_field.value();
@@ -609,25 +603,15 @@ ServeErrorCode ServeErrorCodeFromStatus(StatusCode code) {
   }
 }
 
-std::string ErrorResponseLine(const Status& status, int version) {
-  if (version >= 1) {
-    return ServeErrorLine(ServeErrorCodeFromStatus(status.code()),
-                          status.message(), version);
-  }
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("ok").Value(false);
-  writer.Key("code").Value(StatusCodeName(status.code()));
-  writer.Key("error").Value(status.message());
-  writer.EndObject();
-  return writer.Take();
+std::string ErrorResponseLine(const Status& status) {
+  return ServeErrorLine(ServeErrorCodeFromStatus(status.code()),
+                        status.message());
 }
 
-std::string ServeErrorLine(ServeErrorCode code, const std::string& message,
-                           int version) {
+std::string ServeErrorLine(ServeErrorCode code, const std::string& message) {
   JsonWriter writer;
   writer.BeginObject();
-  writer.Key("v").Value(version);
+  writer.Key("v").Value(kServeProtocolVersion);
   writer.Key("ok").Value(false);
   writer.Key("error");
   writer.BeginObject();

@@ -7,24 +7,21 @@
 // a client can reconstruct the server's H matrix bit for bit.
 //
 // Requests (flat objects; unknown keys are ignored):
-//   {"op":"estimate","dataset":"/path/g.fgrbin","restarts":10,"lmax":5,
-//    "lambda":10.0,"variant":1,"path_type":"nb","seed":7}
-//   {"op":"label", ...same fields...}
-//   {"op":"stats"}
-//   {"op":"datasets"}
-//   {"op":"metrics"}
+//   {"v":2,"op":"estimate","dataset":"/path/g.fgrbin","restarts":10,
+//    "lmax":5,"lambda":10.0,"variant":1,"path_type":"nb","seed":7}
+//   {"v":2,"op":"label", ...same fields...}
+//   {"v":2,"op":"stats"}     (the metrics document, "op":"stats")
+//   {"v":2,"op":"datasets"}
+//   {"v":2,"op":"metrics"}
 //
-// The protocol is versioned via an optional "v" field. Version-less
-// requests get the legacy response shapes:
-//   {"ok":true, ...op-specific fields...} or
-//   {"ok":false,"code":"NotFound","error":"..."}.
-// Requests carrying "v":1 get the same success fields prefixed with
-// "v":1, and structured errors drawn from a closed taxonomy:
-//   {"v":1,"ok":false,"error":{"code":"bad_request","message":"..."}}
-// with codes bad_request, unknown_dataset, over_budget, timeout,
-// overloaded, internal. Errors the transport itself generates (a shed
-// request, a request timeout, an oversized line) always use the v1
-// structured shape — they can occur before any request is parsed.
+// There is one wire shape, protocol v2. "v" may be omitted; any value
+// other than 2 is a bad_request. Every response carries "v":2:
+//   {"v":2,"ok":true,"op":...,...op-specific fields...} or
+//   {"v":2,"ok":false,"error":{"code":"bad_request","message":"..."}}
+// with error codes drawn from a closed taxonomy: bad_request,
+// unknown_dataset, over_budget, timeout, overloaded, internal. Errors the
+// transport itself generates (a shed request, a request timeout, an
+// oversized line) use the same shape.
 //
 // The estimate/label defaults match `fgr_cli estimate` exactly (restarts
 // 10, lmax 5, lambda 10, row-stochastic, non-backtracking, seed 7), so a
@@ -128,32 +125,25 @@ class JsonWriter {
 // The operations fgrd serves.
 enum class RequestOp { kEstimate, kLabel, kStats, kDatasets, kMetrics };
 
-// Highest protocol version this build understands. Responses echo the
-// *request's* version, so v1 clients keep seeing exactly the v1 shape;
-// v2 adds the stage/pipeline sections to `metrics` and the per-request
-// "stages" breakdown to estimate/label.
+// The one protocol version this build speaks; every response echoes it.
 inline constexpr int kServeProtocolVersion = 2;
 
 // A validated request. Estimation fields default to the fgr_cli defaults.
 struct Request {
   RequestOp op = RequestOp::kStats;
-  int version = 0;      // 0 = legacy shape, 1/2 = versioned shapes
   std::string dataset;  // required for estimate/label
   DceOptions options;   // restarts/lmax/lambda/variant/path_type/seed
 };
 
 // Parses and validates one request line: JSON must parse, be an object,
-// carry a known "op", name a dataset when the op needs one, and keep the
-// numeric knobs typed, integral where integers are expected, and in
-// range. Returns InvalidArgument with a precise message otherwise. When
-// `version_out` is non-null it is set to the request's protocol version
-// as soon as it is known — even on a validation failure — so the caller
-// can shape the error response correctly.
-Result<Request> ParseRequest(const std::string& line,
-                             int* version_out = nullptr);
+// carry no "v" other than 2, carry a known "op", name a dataset when the
+// op needs one, and keep the numeric knobs typed, integral where integers
+// are expected, and in range. Returns InvalidArgument with a precise
+// message otherwise.
+Result<Request> ParseRequest(const std::string& line);
 
-// The protocol v1 error taxonomy. Every error a client can observe maps
-// to exactly one of these codes.
+// The error taxonomy. Every error a client can observe maps to exactly
+// one of these codes.
 enum class ServeErrorCode {
   kBadRequest,      // malformed JSON, unknown op, out-of-range knob
   kUnknownDataset,  // dataset not registered / file missing
@@ -171,16 +161,13 @@ const char* ServeErrorCodeName(ServeErrorCode code);
 // over_budget, else internal).
 ServeErrorCode ServeErrorCodeFromStatus(StatusCode code);
 
-// Error line for a failed request. version 0 keeps the legacy
-// {"ok":false,"code":<StatusCodeName>,"error":<message>} shape; version
-// ≥ 1 emits {"v":<version>,"ok":false,"error":{"code":...,"message":...}}.
-std::string ErrorResponseLine(const Status& status, int version = 0);
+// Error line for a failed request: the status mapped through
+// ServeErrorCodeFromStatus, its message verbatim.
+std::string ErrorResponseLine(const Status& status);
 
-// Structured error line. `version` is echoed as "v"; the transport-level
-// emitters (shed, timeout, oversized line — no parsed request in hand)
-// use the default, the server's own version.
-std::string ServeErrorLine(ServeErrorCode code, const std::string& message,
-                           int version = kServeProtocolVersion);
+// Structured error line:
+// {"v":2,"ok":false,"error":{"code":...,"message":...}}.
+std::string ServeErrorLine(ServeErrorCode code, const std::string& message);
 
 // Reference client for the line protocol: one blocking TCP connection,
 // request line in → response line out, reusable across exchanges. The one

@@ -116,11 +116,14 @@ struct FgrServer::EstimateOutcome {
   SummarySource source = SummarySource::kComputed;
   EstimationResult estimate;
   // Per-request stage breakdown, echoed as the "stages" object in
-  // versioned estimate/label responses.
+  // estimate/label responses.
   double seconds_acquire = 0.0;    // dataset resolve + seed load
   double seconds_summarize = 0.0;  // SummaryCache::GetOrCompute
   double seconds_optimize = 0.0;   // EstimateDceFromStatistics
   double seconds_propagate = 0.0;  // label only: LinBP
+  // Label only: the propagated labels and LinBP's iteration count.
+  Labeling predicted;
+  int linbp_iterations = 0;
 };
 
 FgrServer::FgrServer(ServerOptions options)
@@ -306,20 +309,43 @@ Status FgrServer::RunEstimate(const Request& request,
   return Status::Ok();
 }
 
-std::string FgrServer::HandleEstimate(const Request& request) {
+Result<std::string> FgrServer::HandleEstimate(const Request& request) {
   EstimateOutcome outcome;
-  Status status = RunEstimate(request, &outcome);
-  if (!status.ok()) {
-    ++errors_;
-    metrics_.requests_errors.fetch_add(1, kRelaxed);
-    return ErrorResponseLine(status, request.version);
+  FGR_RETURN_IF_ERROR(RunEstimate(request, &outcome));
+  const bool label = request.op == RequestOp::kLabel;
+  if (label) {
+    Stopwatch propagate_timer;
+    Result<LinBpResult> prop = [&]() -> Result<LinBpResult> {
+      FGR_TRACE_SPAN("serve/propagate");
+      if (outcome.mapped != nullptr) {
+        // Propagate straight over the mapped adjacency — the view overload
+        // runs the identical kernels RunLinBp(graph, ...) runs in-core.
+        return RunLinBp(outcome.mapped->View(), outcome.mapped->degrees(),
+                        *outcome.seeds, outcome.estimate.h);
+      }
+      // Non-resident: block-row propagation over a streamed panel source;
+      // only the n×k belief state is resident. Labels match the resident
+      // path bit for bit in serial runs.
+      BlockRowReaderOptions reader_options;
+      reader_options.memory_budget_bytes = options_.streaming_budget_bytes;
+      return PropagateLinBPStreaming(outcome.canonical_path, *outcome.seeds,
+                                     outcome.estimate.h, LinBpOptions{},
+                                     reader_options);
+    }();
+    if (!prop.ok()) return prop.status();
+    outcome.seconds_propagate = propagate_timer.Seconds();
+    outcome.linbp_iterations = prop.value().iterations_run;
+    outcome.predicted =
+        LabelsFromBeliefs(prop.value().beliefs, *outcome.seeds);
   }
-  ++estimates_;
+
+  // The one writer of estimate and label responses: the shared fields and
+  // "stages", then label's propagation fields.
   JsonWriter writer;
   writer.BeginObject();
-  if (request.version >= 1) writer.Key("v").Value(request.version);
+  writer.Key("v").Value(kServeProtocolVersion);
   writer.Key("ok").Value(true);
-  writer.Key("op").Value("estimate");
+  writer.Key("op").Value(label ? "label" : "estimate");
   writer.Key("dataset").Value(request.dataset);
   writer.Key("resident").Value(outcome.mapped != nullptr);
   writer.Key("summary_source").Value(SummarySourceName(outcome.source));
@@ -336,133 +362,36 @@ std::string FgrServer::HandleEstimate(const Request& request) {
       .Value(outcome.estimate.seconds_summarization);
   writer.Key("seconds_optimization")
       .Value(outcome.estimate.seconds_optimization);
-  if (request.version >= 1) {
-    writer.Key("stages");
-    writer.BeginObject();
-    writer.Key("acquire_ms").Value(outcome.seconds_acquire * 1e3);
-    writer.Key("summarize_ms").Value(outcome.seconds_summarize * 1e3);
-    writer.Key("optimize_ms").Value(outcome.seconds_optimize * 1e3);
-    writer.EndObject();
-  }
-  writer.Key("h");
-  AppendMatrix(&writer, outcome.estimate.h);
-  writer.EndObject();
-  return writer.Take();
-}
-
-std::string FgrServer::HandleLabel(const Request& request) {
-  EstimateOutcome outcome;
-  Status status = RunEstimate(request, &outcome);
-  if (!status.ok()) {
-    ++errors_;
-    metrics_.requests_errors.fetch_add(1, kRelaxed);
-    return ErrorResponseLine(status, request.version);
-  }
-  LinBpResult prop;
-  Stopwatch propagate_timer;
-  if (outcome.mapped != nullptr) {
-    // Propagate straight over the mapped adjacency — the view overload
-    // runs the identical kernels RunLinBp(graph, ...) runs in-core.
-    FGR_TRACE_SPAN("serve/propagate");
-    prop = RunLinBp(outcome.mapped->View(), outcome.mapped->degrees(),
-                    *outcome.seeds, outcome.estimate.h);
-  } else {
-    // Non-resident: block-row propagation over the same panel stream the
-    // summarization used; only the n×k belief state is resident. Labels
-    // match the resident path bit for bit in serial runs.
-    FGR_TRACE_SPAN("serve/propagate");
-    BlockRowReaderOptions reader_options;
-    reader_options.memory_budget_bytes = options_.streaming_budget_bytes;
-    Result<LinBpResult> streamed = PropagateLinBPStreaming(
-        outcome.canonical_path, *outcome.seeds, outcome.estimate.h,
-        LinBpOptions{}, reader_options);
-    if (!streamed.ok()) {
-      ++errors_;
-      metrics_.requests_errors.fetch_add(1, kRelaxed);
-      return ErrorResponseLine(streamed.status(), request.version);
-    }
-    prop = std::move(streamed).value();
-  }
-  outcome.seconds_propagate = propagate_timer.Seconds();
-  const Labeling predicted =
-      LabelsFromBeliefs(prop.beliefs, *outcome.seeds);
-  ++labels_;
-  JsonWriter writer;
+  // Every member of "stages" is a server-side time that clients sum, so
+  // it holds the stage timings and nothing else.
+  writer.Key("stages");
   writer.BeginObject();
-  if (request.version >= 1) writer.Key("v").Value(request.version);
-  writer.Key("ok").Value(true);
-  writer.Key("op").Value("label");
-  writer.Key("dataset").Value(request.dataset);
-  writer.Key("resident").Value(outcome.mapped != nullptr);
-  writer.Key("summary_source").Value(SummarySourceName(outcome.source));
-  writer.Key("n").Value(outcome.num_nodes);
-  writer.Key("m").Value(outcome.num_edges);
-  writer.Key("k").Value(
-      static_cast<std::int64_t>(outcome.seeds->num_classes()));
-  writer.Key("labeled").Value(outcome.seeds->NumLabeled());
-  writer.Key("energy").Value(outcome.estimate.energy);
-  writer.Key("linbp_iterations").Value(prop.iterations_run);
-  if (request.version >= 1) {
-    writer.Key("stages");
-    writer.BeginObject();
-    writer.Key("acquire_ms").Value(outcome.seconds_acquire * 1e3);
-    writer.Key("summarize_ms").Value(outcome.seconds_summarize * 1e3);
-    writer.Key("optimize_ms").Value(outcome.seconds_optimize * 1e3);
+  writer.Key("acquire_ms").Value(outcome.seconds_acquire * 1e3);
+  writer.Key("summarize_ms").Value(outcome.seconds_summarize * 1e3);
+  writer.Key("optimize_ms").Value(outcome.seconds_optimize * 1e3);
+  if (label) {
     writer.Key("propagate_ms").Value(outcome.seconds_propagate * 1e3);
-    writer.EndObject();
   }
+  writer.EndObject();
   writer.Key("h");
   AppendMatrix(&writer, outcome.estimate.h);
-  writer.Key("labels");
-  writer.BeginArray();
-  for (NodeId i = 0; i < predicted.num_nodes(); ++i) {
-    writer.Value(static_cast<std::int64_t>(predicted.label(i)));
+  if (label) {
+    writer.Key("linbp_iterations").Value(outcome.linbp_iterations);
+    writer.Key("labels");
+    writer.BeginArray();
+    for (NodeId i = 0; i < outcome.predicted.num_nodes(); ++i) {
+      writer.Value(static_cast<std::int64_t>(outcome.predicted.label(i)));
+    }
+    writer.EndArray();
   }
-  writer.EndArray();
   writer.EndObject();
   return writer.Take();
 }
 
-std::string FgrServer::HandleStats(int version) {
-  const SummaryCache::Counters summary = summaries_.counters();
-  const DatasetCache::Counters data = datasets_.counters();
+std::string FgrServer::HandleDatasets() const {
   JsonWriter writer;
   writer.BeginObject();
-  if (version >= 1) writer.Key("v").Value(version);
-  writer.Key("ok").Value(true);
-  writer.Key("op").Value("stats");
-  writer.Key("uptime_seconds").Value(uptime_.Seconds());
-  writer.Key("requests").Value(requests_.load());
-  writer.Key("errors").Value(errors_.load());
-  writer.Key("estimates").Value(estimates_.load());
-  writer.Key("labels").Value(labels_.load());
-  writer.Key("connections").Value(connections_total_.load());
-  writer.Key("workers").Value(options_.worker_threads);
-  writer.Key("summary");
-  writer.BeginObject();
-  writer.Key("memory_hits").Value(summary.memory_hits);
-  writer.Key("disk_hits").Value(summary.disk_hits);
-  writer.Key("computed").Value(summary.computed);
-  writer.Key("invalidations").Value(summary.invalidations);
-  writer.EndObject();
-  writer.Key("datasets");
-  writer.BeginObject();
-  writer.Key("hits").Value(data.hits);
-  writer.Key("misses").Value(data.misses);
-  writer.Key("evictions").Value(data.evictions);
-  writer.Key("stale_reopens").Value(data.stale_reopens);
-  writer.Key("resident").Value(datasets_.entries());
-  writer.Key("resident_bytes").Value(datasets_.resident_bytes());
-  writer.Key("budget_bytes").Value(datasets_.byte_budget());
-  writer.EndObject();
-  writer.EndObject();
-  return writer.Take();
-}
-
-std::string FgrServer::HandleDatasets(int version) {
-  JsonWriter writer;
-  writer.BeginObject();
-  if (version >= 1) writer.Key("v").Value(version);
+  writer.Key("v").Value(kServeProtocolVersion);
   writer.Key("ok").Value(true);
   writer.Key("op").Value("datasets");
   writer.Key("resident");
@@ -477,14 +406,14 @@ std::string FgrServer::HandleDatasets(int version) {
   return writer.Take();
 }
 
-std::string FgrServer::MetricsJson(int version) const {
+std::string FgrServer::MetricsJson(const char* op) const {
   const SummaryCache::Counters summary = summaries_.counters();
   const DatasetCache::Counters data = datasets_.counters();
   JsonWriter writer;
   writer.BeginObject();
-  if (version >= 1) writer.Key("v").Value(version);
+  writer.Key("v").Value(kServeProtocolVersion);
   writer.Key("ok").Value(true);
-  writer.Key("op").Value("metrics");
+  writer.Key("op").Value(op);
   writer.Key("uptime_seconds").Value(uptime_.Seconds());
   writer.Key("connections");
   writer.BeginObject();
@@ -518,13 +447,15 @@ std::string FgrServer::MetricsJson(int version) const {
   writer.Key("bytes_read").Value(metrics_.bytes_read.load(kRelaxed));
   writer.Key("bytes_written").Value(metrics_.bytes_written.load(kRelaxed));
   writer.EndObject();
-  writer.Key("latency");
-  writer.BeginObject();
-  writer.Key("count")
-      .Value(static_cast<std::int64_t>(metrics_.latency.count()));
-  writer.Key("p50_ms").Value(metrics_.latency.QuantileSeconds(0.5) * 1e3);
-  writer.Key("p99_ms").Value(metrics_.latency.QuantileSeconds(0.99) * 1e3);
-  writer.EndObject();
+  const auto emit_ring = [&writer](const char* key, const LatencyRing& ring) {
+    writer.Key(key);
+    writer.BeginObject();
+    writer.Key("count").Value(static_cast<std::int64_t>(ring.count()));
+    writer.Key("p50_ms").Value(ring.QuantileSeconds(0.5) * 1e3);
+    writer.Key("p99_ms").Value(ring.QuantileSeconds(0.99) * 1e3);
+    writer.EndObject();
+  };
+  emit_ring("latency", metrics_.latency);
   writer.Key("summary");
   writer.BeginObject();
   writer.Key("memory_hits").Value(summary.memory_hits);
@@ -537,112 +468,83 @@ std::string FgrServer::MetricsJson(int version) const {
   writer.Key("hits").Value(data.hits);
   writer.Key("misses").Value(data.misses);
   writer.Key("evictions").Value(data.evictions);
+  writer.Key("stale_reopens").Value(data.stale_reopens);
   writer.Key("resident").Value(datasets_.entries());
   writer.Key("resident_bytes").Value(datasets_.resident_bytes());
+  writer.Key("budget_bytes").Value(datasets_.byte_budget());
   writer.EndObject();
-  if (version >= 2) {
-    // v2: per-stage request histograms (queue wait → worker compute →
-    // response write) and pipeline/kernel counters from src/obs.
-    writer.Key("stages");
-    writer.BeginObject();
-    const auto emit_ring = [&writer](const char* key,
-                                     const LatencyRing& ring) {
-      writer.Key(key);
-      writer.BeginObject();
-      writer.Key("count").Value(static_cast<std::int64_t>(ring.count()));
-      writer.Key("p50_ms").Value(ring.QuantileSeconds(0.5) * 1e3);
-      writer.Key("p99_ms").Value(ring.QuantileSeconds(0.99) * 1e3);
-      writer.EndObject();
-    };
-    emit_ring("queue_wait", metrics_.stage_queue_wait);
-    emit_ring("compute", metrics_.stage_compute);
-    emit_ring("write", metrics_.stage_write);
-    writer.EndObject();
-    writer.Key("pipeline");
-    writer.BeginObject();
-    for (int c = 0; c < static_cast<int>(obs::PipelineCounter::kCount);
-         ++c) {
-      const auto counter = static_cast<obs::PipelineCounter>(c);
-      writer.Key(obs::CounterName(counter)).Value(obs::GetCounter(counter));
-    }
-    const std::int64_t depth_samples =
-        obs::GetCounter(obs::PipelineCounter::kPrefetchQueueDepthSamples);
-    writer.Key("prefetch_queue_depth_mean")
-        .Value(depth_samples > 0
-                   ? static_cast<double>(obs::GetCounter(
-                         obs::PipelineCounter::kPrefetchQueueDepthSum)) /
-                         static_cast<double>(depth_samples)
-                   : 0.0);
-    writer.EndObject();
+  // Per-stage request histograms (queue wait → worker compute → response
+  // write) and the pipeline/kernel counters from src/obs.
+  writer.Key("stages");
+  writer.BeginObject();
+  emit_ring("queue_wait", metrics_.stage_queue_wait);
+  emit_ring("compute", metrics_.stage_compute);
+  emit_ring("write", metrics_.stage_write);
+  writer.EndObject();
+  writer.Key("pipeline");
+  writer.BeginObject();
+  for (int c = 0; c < static_cast<int>(obs::PipelineCounter::kCount); ++c) {
+    const auto counter = static_cast<obs::PipelineCounter>(c);
+    writer.Key(obs::CounterName(counter)).Value(obs::GetCounter(counter));
   }
+  const std::int64_t depth_samples =
+      obs::GetCounter(obs::PipelineCounter::kPrefetchQueueDepthSamples);
+  writer.Key("prefetch_queue_depth_mean")
+      .Value(depth_samples > 0
+                 ? static_cast<double>(obs::GetCounter(
+                       obs::PipelineCounter::kPrefetchQueueDepthSum)) /
+                       static_cast<double>(depth_samples)
+                 : 0.0);
+  writer.EndObject();
   writer.EndObject();
   return writer.Take();
-}
-
-std::string FgrServer::HandleMetrics(int version) {
-  return MetricsJson(version);
 }
 
 std::string FgrServer::HandleRequestLine(const std::string& line) {
   // Request-scoped id, shared with the access-log line below so log
   // entries from a busy daemon can be correlated per request.
-  const std::int64_t request_id = ++requests_;
-  metrics_.requests_total.fetch_add(1, kRelaxed);
+  const std::int64_t request_id =
+      metrics_.requests_total.fetch_add(1, kRelaxed) + 1;
   const SteadyClock::time_point started = SteadyClock::now();
   const char* op_name = "?";
   std::string dataset;
-  bool ok = true;
-  std::string response;
-  if (static_cast<std::int64_t>(line.size()) > options_.max_request_bytes) {
-    ++errors_;
-    metrics_.requests_errors.fetch_add(1, kRelaxed);
-    ok = false;
-    response = ErrorResponseLine(Status::InvalidArgument(
-        "request of " + std::to_string(line.size()) +
-        " bytes exceeds the " + std::to_string(options_.max_request_bytes) +
-        "-byte limit"));
-  } else {
-    int version = 0;
-    Result<Request> parsed = ParseRequest(line, &version);
-    if (!parsed.ok()) {
-      ++errors_;
-      metrics_.requests_errors.fetch_add(1, kRelaxed);
-      ok = false;
-      response = ErrorResponseLine(parsed.status(), version);
-    } else {
-      const Request& request = parsed.value();
-      dataset = request.dataset;
-      const std::int64_t errors_before = errors_.load(kRelaxed);
-      switch (request.op) {
-        case RequestOp::kEstimate:
-          op_name = "estimate";
-          metrics_.requests_estimate.fetch_add(1, kRelaxed);
-          response = HandleEstimate(request);
-          break;
-        case RequestOp::kLabel:
-          op_name = "label";
-          metrics_.requests_label.fetch_add(1, kRelaxed);
-          response = HandleLabel(request);
-          break;
-        case RequestOp::kStats:
-          op_name = "stats";
-          metrics_.requests_stats.fetch_add(1, kRelaxed);
-          response = HandleStats(request.version);
-          break;
-        case RequestOp::kDatasets:
-          op_name = "datasets";
-          metrics_.requests_datasets.fetch_add(1, kRelaxed);
-          response = HandleDatasets(request.version);
-          break;
-        case RequestOp::kMetrics:
-          op_name = "metrics";
-          metrics_.requests_metrics.fetch_add(1, kRelaxed);
-          response = HandleMetrics(request.version);
-          break;
-      }
-      ok = errors_.load(kRelaxed) == errors_before;
+  Result<std::string> response = [&]() -> Result<std::string> {
+    if (static_cast<std::int64_t>(line.size()) > options_.max_request_bytes) {
+      return Status::InvalidArgument(
+          "request of " + std::to_string(line.size()) + " bytes exceeds the " +
+          std::to_string(options_.max_request_bytes) + "-byte limit");
     }
-  }
+    Result<Request> parsed = ParseRequest(line);
+    if (!parsed.ok()) return parsed.status();
+    const Request& request = parsed.value();
+    dataset = request.dataset;
+    switch (request.op) {
+      case RequestOp::kEstimate:
+        op_name = "estimate";
+        metrics_.requests_estimate.fetch_add(1, kRelaxed);
+        return HandleEstimate(request);
+      case RequestOp::kLabel:
+        op_name = "label";
+        metrics_.requests_label.fetch_add(1, kRelaxed);
+        return HandleEstimate(request);
+      case RequestOp::kStats:
+        op_name = "stats";
+        metrics_.requests_stats.fetch_add(1, kRelaxed);
+        return MetricsJson(op_name);
+      case RequestOp::kDatasets:
+        op_name = "datasets";
+        metrics_.requests_datasets.fetch_add(1, kRelaxed);
+        return HandleDatasets();
+      case RequestOp::kMetrics:
+        op_name = "metrics";
+        metrics_.requests_metrics.fetch_add(1, kRelaxed);
+        return MetricsJson(op_name);
+    }
+    return Status::Internal("unhandled op");
+  }();
+  // `ok` is this request's own outcome, never a shared counter's delta.
+  const bool ok = response.ok();
+  if (!ok) metrics_.requests_errors.fetch_add(1, kRelaxed);
   const double millis =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
           SteadyClock::now() - started)
@@ -652,7 +554,8 @@ std::string FgrServer::HandleRequestLine(const std::string& line) {
       << (dataset.empty() ? std::string()
                           : std::string(" dataset=") + dataset)
       << " ok=" << (ok ? 1 : 0) << " ms=" << millis;
-  return response;
+  return ok ? std::move(response).value()
+            : ErrorResponseLine(response.status());
 }
 
 Status FgrServer::Start() {
@@ -851,7 +754,6 @@ void FgrServer::EventLoop() {
     expired.clear();
     timers_.Collect(SteadyClock::now(), &expired);
     if (!expired.empty()) {
-      // FireTimers consumes the collected batch (see below).
       for (const TimerWheel::Entry& entry : expired) {
         auto found = connections_.find(entry.conn_id);
         if (found == connections_.end()) continue;
@@ -957,7 +859,6 @@ void FgrServer::AcceptNewConnections() {
     }
     metrics_.connections_accepted.fetch_add(1, kRelaxed);
     metrics_.connections_active.fetch_add(1, kRelaxed);
-    ++connections_total_;
     Connection* raw = conn.get();
     connections_.emplace(raw->id, std::move(conn));
     ArmIdleTimer(raw);
@@ -1017,8 +918,6 @@ void FgrServer::HandleReadable(Connection* conn) {
       static_cast<std::int64_t>(conn->read_buffer.size()) >
           options_.max_request_bytes) {
     conn->overflowed = true;
-    ++requests_;
-    ++errors_;
     metrics_.requests_total.fetch_add(1, kRelaxed);
     metrics_.requests_errors.fetch_add(1, kRelaxed);
     conn->read_buffer.clear();
@@ -1261,7 +1160,7 @@ Status RunDaemon(const std::string& name, const ServerOptions& options,
   server.Stop();  // graceful drain, bounded by drain_timeout_ms
   if (dump_metrics_on_exit) {
     std::printf("%s: metrics %s\n", name.c_str(),
-                server.MetricsJson(kServeProtocolVersion).c_str());
+                server.MetricsJson().c_str());
     std::fflush(stdout);
   }
   return Status::Ok();

@@ -13,22 +13,24 @@
 //                                     over-budget files fall to streaming)
 //     → SummaryCache::GetOrCompute   (M(ℓ) statistics keyed on the file's
 //                                     content hash; memory → .fgrsum
-//                                     sidecar → PanelSummarizer over the
-//                                     mapped view, or the BlockRowReader
-//                                     streaming pass for non-resident
+//                                     sidecar → SummarizePanels over the
+//                                     mapped view, or over a streamed
+//                                     panel source for non-resident
 //                                     datasets)
 //     → EstimateDceFromStatistics    (k-scale restarts, graph-free)
-//     → [label only] RunLinBp over the mapped view — or, for non-resident
-//       datasets, PropagateLinBPStreaming block-row over the same panel
-//       stream — + LabelsFromBeliefs.
+//     → [label only] RunLinBp over the mapped view, or, for non-resident
+//       datasets, PropagateLinBPStreaming: the same LinBP body (Lanczos
+//       ρ(W), then the iterations) over a prefetched StreamedPanelSource
+//       that re-reads the file block-row by block-row on every pass
+//     → [label only] LabelsFromBeliefs.
 //
 // Robustness: per-request and idle-connection deadlines run off a slotted
 // timer wheel; a connection whose write buffer outgrows its cap is evicted
 // as a slow client; once the worker queue passes its high-water mark new
 // requests are shed with a structured `overloaded` error; Stop() drains
 // queued and in-flight work (bounded by drain_timeout_ms) before closing.
-// Every outcome lands in an atomic ServerMetrics struct served by the
-// `metrics` verb.
+// Every outcome lands in one atomic ServerMetrics struct, served by the
+// `metrics` verb and by `stats`, its alias.
 //
 // Seeds are the dataset's own label section: summaries are then a pure
 // function of (file bytes, path type, ℓ), which is what makes them
@@ -132,13 +134,15 @@ class FgrServer {
 
   // Parses and dispatches one request line, returning one response line
   // (no trailing newline). Never throws; all failures become error
-  // responses. Safe to call concurrently. Per-verb metrics counters are
-  // bumped here, so transport-free callers count too.
+  // responses. Safe to call concurrently. Per-verb metrics counters and
+  // the error counter are bumped here, so transport-free callers count
+  // too.
   std::string HandleRequestLine(const std::string& line);
 
-  // The metrics response body (the same JSON the `metrics` verb returns)
-  // without bumping any counter — used by --dump-metrics-on-exit.
-  std::string MetricsJson(int version = 0) const;
+  // The metrics document `stats` and `metrics` both answer with, `op`
+  // echoing the verb, without bumping any counter — also used by
+  // --dump-metrics-on-exit.
+  std::string MetricsJson(const char* op = "metrics") const;
 
   const DatasetCache& datasets() const { return datasets_; }
   const SummaryCache& summaries() const { return summaries_; }
@@ -175,11 +179,9 @@ class FgrServer {
 
   Status RunEstimate(const Request& request,
                      EstimateOutcome* outcome);
-  std::string HandleEstimate(const Request& request);
-  std::string HandleLabel(const Request& request);
-  std::string HandleStats(int version);
-  std::string HandleDatasets(int version);
-  std::string HandleMetrics(int version);
+  // Serves estimate, and label (the estimate plus propagation).
+  Result<std::string> HandleEstimate(const Request& request);
+  std::string HandleDatasets() const;
 
   // Event-loop internals (event thread only unless noted).
   void EventLoop();
@@ -191,7 +193,6 @@ class FgrServer {
   void QueueResponse(Connection* conn, const std::string& response);
   void CloseConnection(Connection* conn);
   void ProcessCompletions();
-  void FireTimers(std::chrono::steady_clock::time_point now);
   void ArmIdleTimer(Connection* conn);
   bool UpdateEpoll(Connection* conn, bool want_write);
   void WakeEventThread();
@@ -235,13 +236,6 @@ class FgrServer {
 
   Stopwatch uptime_;
   ServerMetrics metrics_;
-  // Legacy `stats` verb counters (kept distinct: `stats` predates the
-  // metrics surface and its fields are pinned by clients).
-  std::atomic<std::int64_t> requests_{0};
-  std::atomic<std::int64_t> errors_{0};
-  std::atomic<std::int64_t> estimates_{0};
-  std::atomic<std::int64_t> labels_{0};
-  std::atomic<std::int64_t> connections_total_{0};
 };
 
 // "a.fgrbin,b.fgrbin" → {"a.fgrbin", "b.fgrbin"} (empty pieces dropped) —

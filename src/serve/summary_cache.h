@@ -14,9 +14,9 @@
 // SummaryCache keys summaries on the .fgrbin content hash (FNV-1a 64 of the
 // file bytes): rewriting a dataset in place invalidates both the in-memory
 // entry and the sidecar. Misses fall through memory → the ".fgrsum" sidecar
-// next to the cache → a caller-supplied compute callback (the server feeds
-// the mapped view through PanelSummarizer, or the streaming reader when the
-// dataset exceeds the residency budget), and fresh computations are
+// next to the cache → a caller-supplied compute callback (the server runs
+// SummarizePanels over the mapped view, or over a streamed panel source
+// when the dataset exceeds the residency budget), and fresh computations are
 // persisted back so the next daemon start skips the graph pass entirely.
 //
 // .fgrsum layout (little-endian, fixed-width):

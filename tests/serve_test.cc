@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "fgr/fgr.h"
+#include "obs/log.h"
 
 namespace fgr {
 namespace {
@@ -82,6 +83,17 @@ Json MustParse(const std::string& line) {
   auto parsed = ParseJson(line);
   FGR_CHECK(parsed.ok()) << parsed.status().ToString() << " in " << line;
   return std::move(parsed).value();
+}
+
+// The structured error's members ("" on a success or a missing member).
+std::string ErrorCode(const Json& response) {
+  const Json* error = response.Find("error");
+  return error == nullptr ? "" : error->GetString("code", "");
+}
+
+std::string ErrorMessage(const Json& response) {
+  const Json* error = response.Find("error");
+  return error == nullptr ? "" : error->GetString("message", "");
 }
 
 DenseMatrix MatrixFrom(const Json& response, const std::string& key) {
@@ -182,7 +194,10 @@ TEST(ProtocolTest, StringEscapingRoundTrips) {
   EXPECT_EQ(again.GetString("s", ""), nasty);
 }
 
-// --- protocol v1 + strict validation (satellite regressions) --------------
+// --- the one wire shape + strict validation -------------------------------
+//
+// Suite names keep the protocol version that introduced each contract;
+// every contract now holds for the one shape, v2.
 
 // Every numeric knob must be rejected — not clamped, not defaulted — when
 // it is mistyped, non-integral, non-finite, or out of range.
@@ -202,7 +217,7 @@ TEST(ProtocolV1Test, StrictValidationRejectsEachNumericField) {
       "\"variant\":2.5",       // non-integral
       "\"variant\":\"rs\"",    // wrong type
       "\"path_type\":3",       // wrong type
-      "\"v\":1.5",             // version must be an integer
+      "\"v\":1.5",             // not the one protocol version
   };
   for (const char* field : bad) {
     auto parsed = ParseRequest("{" + base + "," + field + "}");
@@ -218,23 +233,21 @@ TEST(ProtocolV1Test, StrictValidationRejectsEachNumericField) {
   EXPECT_TRUE(ParseRequest("{" + base + "}").ok());
 }
 
+// A request with no "v" and one with "v":2 get the same shape: "v":2
+// echoed on every response.
 TEST(ProtocolV1Test, VersionedRequestsGetVersionedShapes) {
   FgrServer server(ServerOptions{});
-  // Version-less: the legacy shape, no "v" key.
-  const Json legacy = MustParse(server.HandleRequestLine("{\"op\":\"stats\"}"));
-  EXPECT_EQ(legacy.Find("v"), nullptr);
-  EXPECT_TRUE(legacy.Find("ok")->bool_value());
-  // v1: the same success fields prefixed with "v":1.
-  const Json v1 =
-      MustParse(server.HandleRequestLine("{\"v\":1,\"op\":\"stats\"}"));
-  EXPECT_EQ(v1.GetInt("v", -1), 1);
-  EXPECT_TRUE(v1.Find("ok")->bool_value());
-  // "v":0 is the explicit spelling of the legacy shape.
-  const Json v0 =
-      MustParse(server.HandleRequestLine("{\"v\":0,\"op\":\"stats\"}"));
-  EXPECT_EQ(v0.Find("v"), nullptr);
+  for (const char* request :
+       {"{\"op\":\"stats\"}", "{\"v\":2,\"op\":\"stats\"}",
+        "{\"op\":\"datasets\"}", "{\"v\":2,\"op\":\"datasets\"}"}) {
+    const Json response = MustParse(server.HandleRequestLine(request));
+    EXPECT_EQ(response.GetInt("v", -1), 2) << request;
+    EXPECT_TRUE(response.Find("ok")->bool_value()) << request;
+  }
 }
 
+// Failures carry the structured {"code","message"} object whether or not
+// the request named its version.
 TEST(ProtocolV1Test, ErrorTaxonomyMapsStatusCodes) {
   EXPECT_STREQ(ServeErrorCodeName(ServeErrorCode::kBadRequest),
                "bad_request");
@@ -249,87 +262,86 @@ TEST(ProtocolV1Test, ErrorTaxonomyMapsStatusCodes) {
             ServeErrorCode::kInternal);
 
   FgrServer server(ServerOptions{});
-  // v1 errors carry the structured {"code","message"} object...
-  const Json v1 = MustParse(server.HandleRequestLine(
-      "{\"v\":1,\"op\":\"estimate\",\"dataset\":\"" +
-      TempPath("absent.fgrbin") + "\"}"));
-  EXPECT_EQ(v1.GetInt("v", -1), 1);
-  EXPECT_FALSE(v1.Find("ok")->bool_value());
-  const Json* error = v1.Find("error");
-  ASSERT_NE(error, nullptr);
-  ASSERT_EQ(error->type(), Json::Type::kObject);
-  EXPECT_EQ(error->GetString("code", ""), "unknown_dataset");
-  EXPECT_FALSE(error->GetString("message", "").empty());
-  // ...while the legacy shape keeps its flat string fields.
-  const Json legacy = MustParse(server.HandleRequestLine(
-      "{\"op\":\"estimate\",\"dataset\":\"" + TempPath("absent.fgrbin") +
-      "\"}"));
-  EXPECT_EQ(legacy.GetString("code", ""), "NotFound");
-  EXPECT_EQ(legacy.Find("error")->type(), Json::Type::kString);
+  const std::string dataset = JsonQuote(TempPath("absent.fgrbin"));
+  for (const std::string& request :
+       {"{\"op\":\"estimate\",\"dataset\":" + dataset + "}",
+        "{\"v\":2,\"op\":\"estimate\",\"dataset\":" + dataset + "}"}) {
+    const Json response = MustParse(server.HandleRequestLine(request));
+    EXPECT_EQ(response.GetInt("v", -1), 2) << request;
+    EXPECT_FALSE(response.Find("ok")->bool_value()) << request;
+    EXPECT_EQ(ErrorCode(response), "unknown_dataset") << request;
+    EXPECT_FALSE(ErrorMessage(response).empty()) << request;
+  }
 }
 
+// Any "v" but 2 — the retired 0 and 1 included — is a structured
+// bad_request, not a different shape.
 TEST(ProtocolV1Test, UnsupportedVersionIsAStructuredError) {
   FgrServer server(ServerOptions{});
-  const Json response = MustParse(server.HandleRequestLine(
-      "{\"v\":" + std::to_string(kServeProtocolVersion + 1) +
-      ",\"op\":\"stats\"}"));
-  EXPECT_FALSE(response.Find("ok")->bool_value());
-  const Json* error = response.Find("error");
-  ASSERT_NE(error, nullptr);
-  ASSERT_EQ(error->type(), Json::Type::kObject);
-  EXPECT_EQ(error->GetString("code", ""), "bad_request");
-  EXPECT_NE(error->GetString("message", "").find("unsupported protocol"),
-            std::string::npos);
+  for (const char* version : {"0", "1", "3", "1.5", "\"2\"", "null"}) {
+    const Json response = MustParse(server.HandleRequestLine(
+        std::string("{\"v\":") + version + ",\"op\":\"stats\"}"));
+    EXPECT_EQ(response.GetInt("v", -1), 2) << version;
+    EXPECT_FALSE(response.Find("ok")->bool_value()) << version;
+    EXPECT_EQ(ErrorCode(response), "bad_request") << version;
+    EXPECT_NE(ErrorMessage(response).find("unsupported protocol version"),
+              std::string::npos)
+        << version;
+  }
 }
 
-// v2 is additive: a v2 request echoes "v":2 and the metrics verb grows
-// the per-stage histograms and the pipeline counter section, while a v1
-// request keeps the exact v1 shape (no stages, no pipeline).
+// The metrics document carries the per-stage histograms and the pipeline
+// counter section whether or not the request named its version.
 TEST(ProtocolV2Test, MetricsGrowsStageAndPipelineSections) {
   FgrServer server(ServerOptions{});
-  const Json v2 =
-      MustParse(server.HandleRequestLine("{\"v\":2,\"op\":\"metrics\"}"));
-  EXPECT_EQ(v2.GetInt("v", 0), 2);
-  EXPECT_TRUE(v2.Find("ok")->bool_value());
-  const Json* stages = v2.Find("stages");
-  ASSERT_NE(stages, nullptr);
-  for (const char* stage : {"queue_wait", "compute", "write"}) {
-    const Json* ring = stages->Find(stage);
-    ASSERT_NE(ring, nullptr) << stage;
-    EXPECT_NE(ring->Find("count"), nullptr);
-    EXPECT_NE(ring->Find("p50_ms"), nullptr);
-    EXPECT_NE(ring->Find("p99_ms"), nullptr);
+  for (const char* request :
+       {"{\"op\":\"metrics\"}", "{\"v\":2,\"op\":\"metrics\"}"}) {
+    const Json metrics = MustParse(server.HandleRequestLine(request));
+    EXPECT_EQ(metrics.GetInt("v", 0), 2) << request;
+    EXPECT_TRUE(metrics.Find("ok")->bool_value()) << request;
+    const Json* stages = metrics.Find("stages");
+    ASSERT_NE(stages, nullptr) << request;
+    for (const char* stage : {"queue_wait", "compute", "write"}) {
+      const Json* ring = stages->Find(stage);
+      ASSERT_NE(ring, nullptr) << stage;
+      EXPECT_NE(ring->Find("count"), nullptr);
+      EXPECT_NE(ring->Find("p50_ms"), nullptr);
+      EXPECT_NE(ring->Find("p99_ms"), nullptr);
+    }
+    const Json* pipeline = metrics.Find("pipeline");
+    ASSERT_NE(pipeline, nullptr) << request;
+    EXPECT_NE(pipeline->Find("prefetch_producer_read_ns"), nullptr);
+    EXPECT_NE(pipeline->Find("kernel_spmm_calls"), nullptr);
+    EXPECT_NE(pipeline->Find("prefetch_queue_depth_mean"), nullptr);
   }
-  const Json* pipeline = v2.Find("pipeline");
-  ASSERT_NE(pipeline, nullptr);
-  EXPECT_NE(pipeline->Find("prefetch_producer_stall_ns"), nullptr);
-  EXPECT_NE(pipeline->Find("kernel_spmm_calls"), nullptr);
-  EXPECT_NE(pipeline->Find("prefetch_queue_depth_mean"), nullptr);
-
-  const Json v1 =
-      MustParse(server.HandleRequestLine("{\"v\":1,\"op\":\"metrics\"}"));
-  EXPECT_EQ(v1.GetInt("v", 0), 1);
-  EXPECT_EQ(v1.Find("stages"), nullptr);
-  EXPECT_EQ(v1.Find("pipeline"), nullptr);
 }
 
-// Estimate/label responses at v >= 1 carry a per-request "stages"
-// breakdown; the wall-clock stage sum must be consistent (each stage
-// non-negative, and the acquire/summarize/optimize pieces present).
+// Estimate/label responses carry a per-request "stages" breakdown, each
+// stage non-negative. Clients take a request's server-side time as the sum
+// of every member of "stages", so the key sets are pinned exactly: a
+// silently added key would inflate that sum.
 TEST(ProtocolV2Test, EstimateCarriesStageBreakdown) {
   Fixture fixture = MakeFixture("v2_stages", 83);
   FgrServer server(ServerOptions{});
-  const Json response = MustParse(server.HandleRequestLine(
-      "{\"v\":2,\"op\":\"estimate\",\"dataset\":" +
-      JsonQuote(fixture.path) + "}"));
-  ASSERT_TRUE(response.Find("ok")->bool_value());
-  EXPECT_EQ(response.GetInt("v", 0), 2);
-  const Json* stages = response.Find("stages");
-  ASSERT_NE(stages, nullptr);
-  for (const char* key : {"acquire_ms", "summarize_ms", "optimize_ms"}) {
-    const Json* value = stages->Find(key);
-    ASSERT_NE(value, nullptr) << key;
-    EXPECT_GE(value->number_value(), 0.0) << key;
+  const std::vector<std::string> estimate_keys = {"acquire_ms", "summarize_ms",
+                                                  "optimize_ms"};
+  std::vector<std::string> label_keys = estimate_keys;
+  label_keys.push_back("propagate_ms");
+  for (const auto& [op, expected] :
+       {std::pair{"estimate", estimate_keys}, std::pair{"label", label_keys}}) {
+    const Json response = MustParse(server.HandleRequestLine(
+        "{\"v\":2,\"op\":\"" + std::string(op) +
+        "\",\"dataset\":" + JsonQuote(fixture.path) + "}"));
+    ASSERT_TRUE(response.Find("ok")->bool_value()) << response.Dump();
+    EXPECT_EQ(response.GetInt("v", 0), 2);
+    const Json* stages = response.Find("stages");
+    ASSERT_NE(stages, nullptr) << op;
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : stages->members()) {
+      keys.push_back(key);
+      EXPECT_GE(value.number_value(), 0.0) << op << " " << key;
+    }
+    EXPECT_EQ(keys, expected) << op;
   }
 }
 
@@ -348,9 +360,9 @@ TEST(ProtocolV1Test, MetricsVerbCountsObservedRequests) {
   MustParse(server.HandleRequestLine("{\"op\":\"datasets\"}"));
 
   const Json metrics =
-      MustParse(server.HandleRequestLine("{\"v\":1,\"op\":\"metrics\"}"));
+      MustParse(server.HandleRequestLine("{\"v\":2,\"op\":\"metrics\"}"));
   ASSERT_TRUE(metrics.Find("ok")->bool_value());
-  EXPECT_EQ(metrics.GetInt("v", -1), 1);
+  EXPECT_EQ(metrics.GetInt("v", -1), 2);
   const Json* requests = metrics.Find("requests");
   ASSERT_NE(requests, nullptr);
   EXPECT_EQ(requests->GetInt("total", -1), 6);  // incl. this metrics call
@@ -688,12 +700,13 @@ TEST(ServerTest, RejectsUnknownDatasetAndWrongExtension) {
   const Json missing = MustParse(
       server.HandleRequestLine(EstimateRequest(TempPath("nope.fgrbin"))));
   EXPECT_FALSE(missing.Find("ok")->bool_value());
-  EXPECT_EQ(missing.GetString("code", ""), "NotFound");
+  EXPECT_EQ(ErrorCode(missing), "unknown_dataset");
 
   const Json wrong_kind = MustParse(
       server.HandleRequestLine(EstimateRequest(TempPath("graph.edges"))));
   EXPECT_FALSE(wrong_kind.Find("ok")->bool_value());
-  EXPECT_NE(wrong_kind.GetString("error", "").find("convert first"),
+  EXPECT_EQ(ErrorCode(wrong_kind), "bad_request");
+  EXPECT_NE(ErrorMessage(wrong_kind).find("convert first"),
             std::string::npos);
 }
 
@@ -704,7 +717,8 @@ TEST(ServerTest, RejectsOversizedRequests) {
   const std::string big(200, 'x');
   const Json response = MustParse(server.HandleRequestLine(big));
   EXPECT_FALSE(response.Find("ok")->bool_value());
-  EXPECT_NE(response.GetString("error", "").find("64-byte limit"),
+  EXPECT_EQ(ErrorCode(response), "bad_request");
+  EXPECT_NE(ErrorMessage(response).find("64-byte limit"),
             std::string::npos);
 }
 
@@ -717,7 +731,7 @@ TEST(ServerTest, RejectsLabelFreeCaches) {
   const Json response =
       MustParse(server.HandleRequestLine(EstimateRequest(path)));
   EXPECT_FALSE(response.Find("ok")->bool_value());
-  EXPECT_NE(response.GetString("error", "").find("no label section"),
+  EXPECT_NE(ErrorMessage(response).find("no label section"),
             std::string::npos);
 }
 
@@ -734,7 +748,7 @@ TEST(ServerTest, EstimateMatchesOfflineBitForBitWhenSerial) {
       MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
   SetNumThreads(0);
   ASSERT_TRUE(response.Find("ok")->bool_value())
-      << response.GetString("error", "");
+      << response.Dump();
   EXPECT_EQ(response.GetString("summary_source", ""), "computed");
   EXPECT_EQ(response.GetInt("n", 0), fixture.data.graph.num_nodes());
   EXPECT_EQ(response.GetInt("m", 0), fixture.data.graph.num_edges());
@@ -761,7 +775,7 @@ TEST(ServerTest, LabelMatchesOfflinePipelineBitForBitWhenSerial) {
       server.HandleRequestLine(EstimateRequest(fixture.path, "label")));
   SetNumThreads(0);
   ASSERT_TRUE(response.Find("ok")->bool_value())
-      << response.GetString("error", "");
+      << response.Dump();
   const Json* labels = response.Find("labels");
   ASSERT_NE(labels, nullptr);
   ASSERT_EQ(static_cast<NodeId>(labels->items().size()),
@@ -818,7 +832,7 @@ TEST(ServerTest, RewritingTheCacheInvalidatesTheSummary) {
   const Json second =
       MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
   ASSERT_TRUE(second.Find("ok")->bool_value())
-      << second.GetString("error", "");
+      << second.Dump();
   EXPECT_EQ(second.GetString("summary_source", ""), "computed");
   EXPECT_EQ(second.GetInt("n", 0), 410);
   EXPECT_EQ(server.summaries().counters().invalidations, 1);
@@ -841,7 +855,7 @@ TEST(ServerTest, OverBudgetDatasetsStreamEstimatesAndLabels) {
   const Json estimate =
       MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
   ASSERT_TRUE(estimate.Find("ok")->bool_value())
-      << estimate.GetString("error", "");
+      << estimate.Dump();
   EXPECT_FALSE(estimate.Find("resident")->bool_value());
   // Streamed serial summarization is bit-identical to in-core.
   EXPECT_EQ(MatrixFrom(estimate, "h").data(), offline.h.data());
@@ -852,7 +866,7 @@ TEST(ServerTest, OverBudgetDatasetsStreamEstimatesAndLabels) {
       server.HandleRequestLine(EstimateRequest(fixture.path, "label")));
   SetNumThreads(0);
   ASSERT_TRUE(label.Find("ok")->bool_value())
-      << label.GetString("error", "");
+      << label.Dump();
   EXPECT_FALSE(label.Find("resident")->bool_value());
   const Json* labels = label.Find("labels");
   ASSERT_NE(labels, nullptr);
@@ -878,11 +892,27 @@ TEST(ServerTest, StatsAndDatasetsOpsReportCounters) {
 
   const Json stats = MustParse(server.HandleRequestLine("{\"op\":\"stats\"}"));
   ASSERT_TRUE(stats.Find("ok")->bool_value());
-  EXPECT_EQ(stats.GetInt("estimates", -1), 2);
-  EXPECT_EQ(stats.GetInt("errors", -1), 1);
+  EXPECT_EQ(stats.GetString("op", ""), "stats");
+  EXPECT_EQ(stats.Find("requests")->GetInt("estimate", -1), 2);
+  EXPECT_EQ(stats.Find("requests")->GetInt("errors", -1), 1);
   EXPECT_EQ(stats.Find("summary")->GetInt("computed", -1), 1);
   EXPECT_EQ(stats.Find("summary")->GetInt("memory_hits", -1), 1);
   EXPECT_EQ(stats.Find("datasets")->GetInt("resident", -1), 1);
+
+  // `stats` is a view over the metrics document: the same cache counter
+  // groups, written once, stale_reopens included.
+  const Json metrics =
+      MustParse(server.HandleRequestLine("{\"op\":\"metrics\"}"));
+  EXPECT_EQ(metrics.GetString("op", ""), "metrics");
+  for (const char* group : {"summary", "datasets"}) {
+    ASSERT_NE(stats.Find(group), nullptr) << group;
+    ASSERT_NE(metrics.Find(group), nullptr) << group;
+    EXPECT_EQ(stats.Find(group)->Dump(), metrics.Find(group)->Dump())
+        << group;
+    if (std::string(group) == "datasets") {
+      EXPECT_NE(stats.Find(group)->Find("stale_reopens"), nullptr);
+    }
+  }
 
   const Json datasets =
       MustParse(server.HandleRequestLine("{\"op\":\"datasets\"}"));
@@ -893,6 +923,50 @@ TEST(ServerTest, StatsAndDatasetsOpsReportCounters) {
                 .string_value()
                 .find("serve_stats"),
             std::string::npos);
+}
+
+// Each access-log line's ok= is that request's own outcome: a concurrent
+// worker's failure must never flip it.
+TEST(ServerTest, AccessLogOkIsEachRequestsOwnOutcome) {
+  constexpr int kRequests = 300;
+  const std::string failing = EstimateRequest(TempPath("never.fgrbin"));
+  FgrServer server(ServerOptions{});
+  const obs::LogLevel saved = obs::GetLogLevel();
+  obs::SetLogLevel(obs::LogLevel::kInfo);
+  ::testing::internal::CaptureStderr();
+  std::thread failer([&] {
+    for (int i = 0; i < kRequests; ++i) server.HandleRequestLine(failing);
+  });
+  std::thread lister([&] {
+    for (int i = 0; i < kRequests; ++i) {
+      server.HandleRequestLine("{\"op\":\"datasets\"}");
+    }
+  });
+  failer.join();
+  lister.join();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  obs::SetLogLevel(saved);
+
+  int datasets_lines = 0;
+  int estimate_lines = 0;
+  std::size_t start = 0;
+  while (start < log.size()) {
+    std::size_t end = log.find('\n', start);
+    if (end == std::string::npos) end = log.size();
+    const std::string line = log.substr(start, end - start);
+    start = end + 1;
+    if (line.find("[serve] req=") == std::string::npos) continue;
+    if (line.find(" op=datasets ") != std::string::npos) {
+      ++datasets_lines;
+      EXPECT_NE(line.find(" ok=1 "), std::string::npos) << line;
+    } else if (line.find(" op=estimate ") != std::string::npos) {
+      ++estimate_lines;
+      EXPECT_NE(line.find(" ok=0 "), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(datasets_lines, kRequests);
+  EXPECT_EQ(estimate_lines, kRequests);
+  EXPECT_EQ(server.metrics().requests_errors.load(), kRequests);
 }
 
 // --- sockets + concurrency ------------------------------------------------
@@ -945,7 +1019,7 @@ TEST(ServerSocketTest, ConcurrentClientsMatchOfflineWithin1e9) {
         const Json response =
             MustParse(MustExchange(&client, EstimateRequest(fixture.path)));
         if (!response.Find("ok")->bool_value()) {
-          failures[c] = response.GetString("error", "?");
+          failures[c] = response.Dump();
           return;
         }
         const DenseMatrix h = MatrixFrom(response, "h");
@@ -961,7 +1035,7 @@ TEST(ServerSocketTest, ConcurrentClientsMatchOfflineWithin1e9) {
           MustParse(MustExchange(&client, EstimateRequest(fixture_a.path,
                                                     "label")));
       if (!labeled.Find("ok")->bool_value()) {
-        failures[c] = labeled.GetString("error", "?");
+        failures[c] = labeled.Dump();
         return;
       }
       const Json* labels = labeled.Find("labels");
@@ -1014,7 +1088,7 @@ TEST(ServerSocketTest, SurvivesGarbageAndPipelinedRequests) {
 std::string HeavyEstimateRequest(const std::string& dataset) {
   JsonWriter writer;
   writer.BeginObject();
-  writer.Key("v").Value(std::int64_t{1});
+  writer.Key("v").Value(std::int64_t{2});
   writer.Key("op").Value("estimate");
   writer.Key("dataset").Value(dataset);
   writer.Key("restarts").Value(std::int64_t{1000});

@@ -503,7 +503,8 @@ int RunLabel(const std::string& reference, const std::string& labels_path,
 // --- the fgrd client ------------------------------------------------------
 
 // Sends `request` over a fresh connection (serve/protocol.h LineClient),
-// parses the response, and fails on {"ok":false,...}.
+// parses the response, and fails on {"ok":false,"error":{...}} with the
+// error's taxonomy code and message.
 Result<Json> QueryServer(const Flags& flags, const std::string& request) {
   const std::string host = flags.Str("host", "127.0.0.1");
   const int port = static_cast<int>(flags.Int("port", 7411));
@@ -521,9 +522,10 @@ Result<Json> QueryServer(const Flags& flags, const std::string& request) {
     return Status::Internal("fgrd response is missing \"ok\"");
   }
   if (!ok->bool_value()) {
-    return Status(StatusCode::kInternal,
-                  "fgrd: " + parsed.value().GetString("code", "Error") +
-                      ": " + parsed.value().GetString("error", "unknown"));
+    const Json* error = parsed.value().Find("error");
+    const Json detail = error != nullptr ? *error : Json();
+    return Status::Internal("fgrd: " + detail.GetString("code", "internal") +
+                            ": " + detail.GetString("message", "unknown"));
   }
   return parsed;
 }
@@ -535,6 +537,7 @@ std::string BuildQueryRequest(const std::string& op,
                               const Flags& flags) {
   JsonWriter writer;
   writer.BeginObject();
+  writer.Key("v").Value(kServeProtocolVersion);
   writer.Key("op").Value(op);
   writer.Key("dataset").Value(dataset);
   writer.Key("restarts").Value(flags.Int("restarts", 10));
@@ -646,7 +649,9 @@ int RunQuery(int argc, char** argv) {
   }
   if (op == "stats" || op == "datasets" || op == "metrics") {
     const Flags flags(argc, argv, 3);
-    auto response = QueryServer(flags, "{\"op\":\"" + op + "\"}");
+    auto response = QueryServer(
+        flags, "{\"v\":" + std::to_string(kServeProtocolVersion) +
+                   ",\"op\":\"" + op + "\"}");
     if (!response.ok()) return Fail(response.status().ToString());
     std::printf("%s\n", response.value().Dump().c_str());
     return 0;

@@ -8,7 +8,8 @@
 //        [--trace out.json] [--log-level debug|info|warn|error]
 //
 // Serves estimate / label / stats / datasets / metrics requests over a
-// line-delimited JSON TCP protocol (see src/serve/protocol.h). Datasets are
+// line-delimited JSON TCP protocol with one wire shape, v2 (see
+// src/serve/protocol.h); `stats` answers with the metrics document. Datasets are
 // .fgrbin caches referenced by path in each request; hot ones stay
 // mmap-resident under --budget, and per-dataset summarization statistics
 // persist as .fgrsum sidecars so a repeated estimate query skips the graph
@@ -30,16 +31,17 @@
 //   --queue-high-water is the admission-control threshold: queued
 //     requests beyond it are shed with an `overloaded` error.
 //   --drain-timeout-ms bounds the graceful drain on SIGTERM.
-//   --dump-metrics-on-exit prints the metrics JSON (protocol v2 shape,
-//     with stage histograms and pipeline counters) after shutdown.
+//   --dump-metrics-on-exit prints the metrics JSON (with stage
+//     histograms and pipeline counters) after shutdown.
 //   --trace writes a chrome-trace JSON of every span recorded over the
 //     daemon's lifetime (same as FGR_TRACE=<path>; the flag wins).
 //   --log-level sets the structured-log threshold (FGR_LOG_LEVEL also
 //     works; the flag wins). The daemon defaults to info, which emits
 //     one access-log line per request.
 //
-// Query it with `fgr_cli query` or any line-JSON client:
-//   printf '{"op":"estimate","dataset":"g.fgrbin"}\n' | nc 127.0.0.1 7411
+// Query it with `fgr_cli query` or any line-JSON client ("v" may be
+// omitted; any value but 2 is a bad_request):
+//   printf '{"v":2,"op":"estimate","dataset":"g.fgrbin"}\n' | nc host 7411
 
 #include <cstdio>
 #include <cstdlib>
