@@ -422,15 +422,14 @@ BENCHMARK(BM_FgrBinRead)
     ->ArgNames({"n", "threads"});
 
 // The zero-copy reader on the same cache: the same validation as
-// BM_FgrBinRead over the mapped sections, plus the FNV-1a content hash and
-// the degree sidecar, minus the section copies.
+// BM_FgrBinRead over the mapped sections, minus the section copies.
 void BM_MappedFgrBinOpen(benchmark::State& state) {
   const std::string& path = IngestionFixturePath(state.range(0), true);
   SetNumThreads(static_cast<int>(state.range(1)));
   for (auto _ : state) {
     auto mapped = MappedFgrBin::Open(path);
     FGR_CHECK(mapped.ok()) << mapped.status().ToString();
-    benchmark::DoNotOptimize(mapped.value().content_hash());
+    benchmark::DoNotOptimize(mapped.value().data());
   }
   SetNumThreads(0);
 }

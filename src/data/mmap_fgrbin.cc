@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include "graph/graph.h"
 #include "obs/trace.h"
@@ -68,10 +69,8 @@ MappedFgrBin::MappedFgrBin(MappedFgrBin&& other) noexcept
       row_ptr_(other.row_ptr_),
       col_idx_(other.col_idx_),
       values_(other.values_),
-      degrees_(std::move(other.degrees_)),
       labels_(std::move(other.labels_)),
-      gold_(std::move(other.gold_)),
-      content_hash_(other.content_hash_) {
+      gold_(std::move(other.gold_)) {
   other.base_ = nullptr;
   other.map_size_ = 0;
   other.row_ptr_ = nullptr;
@@ -89,10 +88,8 @@ MappedFgrBin& MappedFgrBin::operator=(MappedFgrBin&& other) noexcept {
     row_ptr_ = other.row_ptr_;
     col_idx_ = other.col_idx_;
     values_ = other.values_;
-    degrees_ = std::move(other.degrees_);
     labels_ = std::move(other.labels_);
     gold_ = std::move(other.gold_);
-    content_hash_ = other.content_hash_;
     other.base_ = nullptr;
     other.map_size_ = 0;
     other.row_ptr_ = nullptr;
@@ -158,12 +155,6 @@ Result<MappedFgrBin> MappedFgrBin::Open(const std::string& path) {
     }
   }
 
-  mapped.content_hash_ =
-      HashBytes(bytes, static_cast<std::size_t>(info.file_size));
-
-  mapped.degrees_.assign(static_cast<std::size_t>(info.num_nodes), 0.0);
-  mapped.View().RowSumsInto(mapped.degrees_.data());
-
   if (info.has_labels) {
     // The labels offset is 4-aligned (int64 sections precede it).
     const auto* raw =
@@ -195,7 +186,6 @@ Result<MappedFgrBin> MappedFgrBin::Open(const std::string& path) {
 
 std::int64_t MappedFgrBin::resident_bytes() const {
   return map_size_ +
-         static_cast<std::int64_t>(degrees_.size() * sizeof(double)) +
          static_cast<std::int64_t>(labels_.raw().size() * sizeof(ClassId));
 }
 

@@ -19,13 +19,13 @@
 //     are bit-identical to the in-core path. Unit-weight caches (no values
 //     section on disk) map with values == nullptr; the kernels treat that
 //     as weight exactly 1.0, so nothing nnz-sized is ever materialized;
-//   * the n-scale sidecars a request needs anyway (weighted degrees, the
-//     label section as a Labeling, the k×k gold matrix) are materialized
-//     once at Open — the gold section in particular is copied because its
-//     byte offset is only 4-aligned after an odd-length labels section;
-//   * content_hash() is the FNV-1a 64 hash of the file bytes, the key the
-//     summary cache (serve/summary_cache.h) uses to invalidate persisted
-//     statistics when a cache is rewritten.
+//   * the n-scale sidecars a request needs anyway (the label section as a
+//     Labeling, the k×k gold matrix) are materialized once at Open — the
+//     gold section in particular is copied because its byte offset is only
+//     4-aligned after an odd-length labels section;
+//   * data() exposes the mapped bytes, so a caller that keys results on
+//     the file's contents (serve/dataset_cache.h) can hash them without
+//     reading the file again.
 //
 // The mapping is read-only and private; the file may be deleted while
 // mapped (POSIX keeps the pages alive) but must not be rewritten in place.
@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "data/fgrbin.h"
 #include "graph/labels.h"
@@ -47,8 +46,9 @@
 namespace fgr {
 
 // FNV-1a 64-bit hash of a file's bytes, read in chunks — the same function
-// MappedFgrBin::Open applies to the mapped region, exposed so the serving
-// layer can key summaries of caches it never maps (streaming datasets).
+// the dataset cache applies to a mapped region (HashBytes), exposed so the
+// serving layer can key summaries of caches it never maps (streaming
+// datasets).
 Result<std::uint64_t> HashFileContents(const std::string& path);
 
 // FNV-1a 64 over an in-memory buffer.
@@ -80,21 +80,19 @@ class MappedFgrBin {
                         col_idx_, values_);
   }
 
-  // Weighted degrees (row sums), computed once at Open.
-  const std::vector<double>& degrees() const { return degrees_; }
-
   // The labels section (all-unlabeled 1-class labeling when absent, exactly
   // like ReadFgrBin).
   const Labeling& labels() const { return labels_; }
 
   const std::optional<DenseMatrix>& gold() const { return gold_; }
 
-  // FNV-1a 64 over the file bytes, computed once at Open.
-  std::uint64_t content_hash() const { return content_hash_; }
+  // The mapped file, info().file_size bytes; valid while this object is
+  // alive.
+  const void* data() const { return base_; }
 
   // Bytes this dataset pins per process: the mapped file plus the
-  // materialized sidecars (degrees + labels). The dataset cache charges
-  // this against its residency budget.
+  // materialized labels. The dataset cache charges this against its
+  // residency budget.
   std::int64_t resident_bytes() const;
 
  private:
@@ -105,10 +103,8 @@ class MappedFgrBin {
   const std::int64_t* row_ptr_ = nullptr;
   const std::int64_t* col_idx_ = nullptr;
   const double* values_ = nullptr;  // nullptr: unit weights
-  std::vector<double> degrees_;
   Labeling labels_;
   std::optional<DenseMatrix> gold_;
-  std::uint64_t content_hash_ = 0;
 
   void Unmap();
 };

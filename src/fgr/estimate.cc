@@ -1,60 +1,44 @@
 #include "fgr/estimate.h"
 
+#include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "core/path_stats.h"
 #include "data/fgrbin.h"
-#include "data/graph_source.h"
-#include "data/streaming_estimation.h"
-#include "prop/linbp_streaming.h"
+#include "data/mmap_fgrbin.h"
+#include "data/prefetching_panel_reader.h"
+#include "matrix/panel_source.h"
 #include "util/check.h"
 
 namespace fgr {
 namespace {
 
-EstimationResult EstimateInCore(const Graph& graph, const Labeling& seeds,
-                                const DceOptions& options) {
-  const GraphStatistics stats =
-      ComputeGraphStatistics(graph, seeds, options.max_path_length,
-                             options.path_type, options.variant);
-  return EstimateDceFromStatistics(stats, seeds.num_classes(), options);
-}
+// A DatasetRef opened once: the panel source every pass runs over and the
+// seeds the passes start from. `source` and `seeds` may point into
+// `mapped` or `embedded`, so an opened dataset stays where OpenDataset
+// filled it.
+struct OpenedDataset {
+  OpenedDataset() = default;
+  OpenedDataset(const OpenedDataset&) = delete;
+  OpenedDataset& operator=(const OpenedDataset&) = delete;
 
-// The streamed route's reader: the caller's panel shaping under the budget.
-BlockRowReaderOptions StreamedReader(const EstimateOptions& options) {
-  BlockRowReaderOptions reader = options.reader;
-  reader.memory_budget_bytes = *options.memory_budget_bytes;
-  return reader;
-}
+  std::optional<MappedFgrBin> mapped;  // unbudgeted .fgrbin
+  Labeling embedded;                   // budgeted .fgrbin's label section
+  const Labeling* seeds = nullptr;
+  std::unique_ptr<PanelSource> source;
+};
 
-// The seeds a path-backed ref runs with: the caller's when given, else the
-// cache's embedded labels — `embedded` when the cache is already loaded,
-// otherwise read from the file into `*owned`.
-Result<const Labeling*> PathSeeds(const DatasetRef& dataset,
-                                  const Labeling* embedded, Labeling* owned) {
-  if (dataset.seeds != nullptr) return dataset.seeds;
-  if (embedded == nullptr) {
-    Result<Labeling> read = ReadFgrBinLabels(dataset.path);
-    if (!read.ok()) return read.status();
-    *owned = std::move(read).value();
-    embedded = owned;
-  }
-  if (embedded->NumLabeled() == 0) {
-    return Status::FailedPrecondition(
-        dataset.path + ": cache has no label section to seed from");
-  }
-  return embedded;
-}
-
-}  // namespace
-
-Result<EstimationResult> Estimate(const DatasetRef& dataset,
-                                  const EstimateOptions& options) {
+// Opens `dataset` as one of the three panel sources — the in-memory
+// graph's CSR, the mapped cache, or the cache streamed under the budget —
+// and checks the seeds against it.
+Status OpenDataset(const DatasetRef& dataset, const EstimateOptions& options,
+                   OpenedDataset* opened) {
   if (dataset.graph != nullptr && !dataset.path.empty()) {
     return Status::InvalidArgument(
         "DatasetRef names both an in-memory graph and a path; set one");
   }
-
   if (dataset.graph != nullptr) {
     if (dataset.seeds == nullptr) {
       return Status::InvalidArgument(
@@ -65,84 +49,96 @@ Result<EstimationResult> Estimate(const DatasetRef& dataset,
           "memory_budget_bytes applies to .fgrbin-backed datasets; an "
           "in-memory graph is already resident");
     }
-    return EstimateInCore(*dataset.graph, *dataset.seeds, options.dce);
-  }
-
-  if (dataset.path.empty()) {
+    opened->seeds = dataset.seeds;
+    opened->source =
+        std::make_unique<WholeMatrixSource>(dataset.graph->adjacency().View());
+  } else if (dataset.path.empty()) {
     return Status::InvalidArgument(
         "empty DatasetRef: set graph + seeds or a .fgrbin path");
+  } else if (!options.memory_budget_bytes.has_value()) {
+    // In core: the mapped CSR sections as one panel.
+    Result<MappedFgrBin> mapped = MappedFgrBin::Open(dataset.path);
+    if (!mapped.ok()) return mapped.status();
+    opened->mapped.emplace(std::move(mapped).value());
+    opened->seeds = dataset.seeds != nullptr ? dataset.seeds
+                                             : &opened->mapped->labels();
+    opened->source =
+        std::make_unique<WholeMatrixSource>(opened->mapped->View());
+  } else {
+    // Out of core: block-row panels streamed under the budget.
+    if (dataset.seeds == nullptr) {
+      Result<Labeling> embedded = ReadFgrBinLabels(dataset.path);
+      if (!embedded.ok()) return embedded.status();
+      opened->embedded = std::move(embedded).value();
+    }
+    opened->seeds =
+        dataset.seeds != nullptr ? dataset.seeds : &opened->embedded;
+    BlockRowReaderOptions reader = options.reader;
+    reader.memory_budget_bytes = *options.memory_budget_bytes;
+    Result<std::unique_ptr<StreamedPanelSource>> streamed =
+        StreamedPanelSource::Open(dataset.path, reader,
+                                  opened->seeds->num_nodes());
+    if (!streamed.ok()) return streamed.status();
+    opened->source = std::move(streamed).value();
   }
 
-  if (options.memory_budget_bytes.has_value()) {
-    // Out-of-core: stream block-row panels under the budget.
-    Labeling owned;
-    Result<const Labeling*> seeds = PathSeeds(dataset, nullptr, &owned);
-    if (!seeds.ok()) return seeds.status();
-    Result<GraphStatistics> stats = ComputeGraphStatisticsStreaming(
-        dataset.path, *seeds.value(), options.dce.max_path_length,
-        options.dce.path_type, options.dce.variant, StreamedReader(options));
-    if (!stats.ok()) return stats.status();
-    return EstimateDceFromStatistics(
-        stats.value(), seeds.value()->num_classes(), options.dce);
+  if (dataset.seeds == nullptr && opened->seeds->NumLabeled() == 0) {
+    return Status::FailedPrecondition(
+        dataset.path + ": cache has no label section to seed from");
   }
+  const std::int64_t nodes = opened->source->num_nodes();
+  if (opened->seeds->num_nodes() != nodes) {
+    const std::string what =
+        dataset.path.empty() ? "graph" : dataset.path + ": cache";
+    return Status::InvalidArgument(
+        what + " has " + std::to_string(nodes) +
+        " nodes but the seed labeling has " +
+        std::to_string(opened->seeds->num_nodes()));
+  }
+  return Status::Ok();
+}
 
-  // In-core over a cache: load it whole, seed from the embedded labels
-  // unless the caller supplied their own.
-  Result<LabeledGraph> loaded = ReadFgrBin(dataset.path);
-  if (!loaded.ok()) return loaded.status();
-  Result<const Labeling*> seeds =
-      PathSeeds(dataset, &loaded.value().labels, nullptr);
-  if (!seeds.ok()) return seeds.status();
-  return EstimateInCore(loaded.value().graph, *seeds.value(), options.dce);
+// The estimate body every route runs: the ℓ passes, then the k×k DCE.
+Result<EstimationResult> EstimateOpened(OpenedDataset& opened,
+                                        const DceOptions& options) {
+  Result<GraphStatistics> stats =
+      SummarizePanels(*opened.source, *opened.seeds, options.max_path_length,
+                      options.path_type, options.variant);
+  if (!stats.ok()) return stats.status();
+  return EstimateDceFromStatistics(stats.value(),
+                                   opened.seeds->num_classes(), options);
+}
+
+}  // namespace
+
+Result<EstimationResult> Estimate(const DatasetRef& dataset,
+                                  const EstimateOptions& options) {
+  OpenedDataset opened;
+  FGR_RETURN_IF_ERROR(OpenDataset(dataset, options, &opened));
+  return EstimateOpened(opened, options.dce);
 }
 
 Result<LabelResult> Label(const DatasetRef& dataset,
                           const LabelOptions& options) {
-  // In-memory and un-budgeted path routes propagate in core; the budgeted
-  // path route streams estimation and propagation over the same panels.
-  if (dataset.graph == nullptr && !dataset.path.empty() &&
-      options.estimate.memory_budget_bytes.has_value()) {
-    Labeling owned;
-    Result<const Labeling*> seeds = PathSeeds(dataset, nullptr, &owned);
-    if (!seeds.ok()) return seeds.status();
-    LabelResult result;
-    Result<EstimationResult> estimate = Estimate(
-        DatasetRef::FgrBin(dataset.path, seeds.value()), options.estimate);
-    if (!estimate.ok()) return estimate.status();
-    result.estimate = std::move(estimate).value();
-
-    Result<LinBpResult> propagated = PropagateLinBPStreaming(
-        dataset.path, *seeds.value(), result.estimate.h, options.linbp,
-        StreamedReader(options.estimate));
-    if (!propagated.ok()) return propagated.status();
-    result.propagation = std::move(propagated).value();
-    result.labels =
-        LabelsFromBeliefs(result.propagation.beliefs, *seeds.value());
-    return result;
+  if (options.linbp.iterations <= 0 || options.linbp.convergence_scale <= 0.0) {
+    return Status::InvalidArgument(
+        "LinBP iterations and convergence_scale must be positive");
   }
-
-  if (dataset.graph == nullptr && !dataset.path.empty()) {
-    // Load the cache once and fall through to the in-memory route, so the
-    // file is not read twice (once to estimate, once to propagate).
-    Result<LabeledGraph> loaded = ReadFgrBin(dataset.path);
-    if (!loaded.ok()) return loaded.status();
-    Result<const Labeling*> seeds =
-        PathSeeds(dataset, &loaded.value().labels, nullptr);
-    if (!seeds.ok()) return seeds.status();
-    LabelOptions in_core = options;
-    in_core.estimate.memory_budget_bytes.reset();
-    return Label(DatasetRef::InMemory(loaded.value().graph, *seeds.value()),
-                 in_core);
-  }
-
-  Result<EstimationResult> estimate = Estimate(dataset, options.estimate);
+  OpenedDataset opened;
+  FGR_RETURN_IF_ERROR(OpenDataset(dataset, options.estimate, &opened));
+  Result<EstimationResult> estimate =
+      EstimateOpened(opened, options.estimate.dce);
   if (!estimate.ok()) return estimate.status();
   LabelResult result;
   result.estimate = std::move(estimate).value();
-  result.propagation = RunLinBp(*dataset.graph, *dataset.seeds,
-                                result.estimate.h, options.linbp);
+
+  // The same source again: one open serves estimation and propagation.
+  Result<LinBpResult> propagated = RunLinBpOverPanels(
+      *opened.source, *opened.seeds, result.estimate.h, options.linbp);
+  if (!propagated.ok()) return propagated.status();
+  result.propagation = std::move(propagated).value();
   result.labels =
-      LabelsFromBeliefs(result.propagation.beliefs, *dataset.seeds);
+      LabelsFromBeliefs(result.propagation.beliefs, *opened.seeds);
   return result;
 }
 
@@ -155,7 +151,8 @@ EstimationResult EstimateDce(const Graph& graph, const Labeling& seeds,
   unified.dce = options;
   Result<EstimationResult> result =
       Estimate(DatasetRef::InMemory(graph, seeds), unified);
-  // The in-memory route has no failure mode once graph + seeds are set.
+  // The in-memory route fails only on a malformed call (seeds that do not
+  // match the graph), which the legacy signature cannot report.
   FGR_CHECK(result.ok()) << result.status().message();
   return std::move(result).value();
 }

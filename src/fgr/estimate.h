@@ -1,12 +1,19 @@
 // fgr::Estimate — the one front door to compatibility estimation.
 //
 // Callers name *what* to estimate over (a DatasetRef: an in-memory graph
-// with seeds, or a .fgrbin cache on disk) and *how* (EstimateOptions:
-// the DCE knobs plus an optional memory budget); Estimate routes to the
-// in-core summarizer or the out-of-core block-row streamer accordingly.
-// The legacy entry point EstimateDce (core/dce.h) is a thin wrapper over
-// this function, so every route runs the identical pipeline: summarize to
-// GraphStatistics, then EstimateDceFromStatistics. Serial results are
+// with seeds, or a .fgrbin cache on disk) and *how* (EstimateOptions: the
+// DCE knobs plus an optional memory budget). Estimate opens the dataset
+// once, as one of three panel sources (matrix/panel_source.h):
+//
+//   * an in-memory graph: its CSR as one panel (WholeMatrixSource);
+//   * a .fgrbin without a budget: the cache mapped zero-copy
+//     (MappedFgrBin, the reader fgrd uses) as one panel;
+//   * a .fgrbin under memory_budget_bytes: block-row panels streamed
+//     through the prefetcher (StreamedPanelSource).
+//
+// Every route then runs one body: SummarizePanels to GraphStatistics, then
+// EstimateDceFromStatistics. The legacy entry point EstimateDce
+// (core/dce.h) is a thin wrapper over this function. Serial results are
 // bit-identical across routes.
 
 #ifndef FGR_FGR_ESTIMATE_H_
@@ -53,26 +60,28 @@ struct EstimateOptions {
   // The paper's DCE/DCEr knobs (ℓmax, λ, restarts, path type, variant...).
   DceOptions dce;
   // When set, a path-backed dataset streams block-row panels under this
-  // byte budget instead of materializing the CSR; it overrides
-  // reader.memory_budget_bytes. Unset: the cache is loaded in core.
+  // byte budget instead of mapping the CSR; it overrides
+  // reader.memory_budget_bytes. Unset: the cache is mapped in core.
   // Setting it for an in-memory graph is an error (already resident).
   std::optional<std::int64_t> memory_budget_bytes;
   // Panel shaping for the streamed route (rows_per_panel etc).
   BlockRowReaderOptions reader;
 };
 
-// Routes to the in-core or streaming estimator per the rules above.
-// In-memory estimation cannot fail once the ref is well-formed; path
-// routes surface I/O and validation errors.
+// Opens the dataset's panel source and runs the estimate body over it. A
+// malformed ref, or seeds whose node count differs from the graph's, is
+// InvalidArgument on every route; path routes also surface I/O and
+// validation errors.
 Result<EstimationResult> Estimate(const DatasetRef& dataset,
                                   const EstimateOptions& options = {});
 
-// fgr::Label — estimate H, then propagate it to a full labeling. The same
-// router rules apply: in-memory and un-budgeted path routes load the graph
-// and run RunLinBp in core; a budgeted path route streams both the
-// estimation *and* the propagation block-row (PropagateLinBPStreaming), so
-// only the n×k belief state is ever resident. Streamed labels are
-// bit-identical to in-core at one thread.
+// fgr::Label — estimate H, then propagate it to a full labeling. It opens
+// the dataset once, exactly as Estimate does, runs the estimate body, and
+// then RunLinBpOverPanels over the *same* source: the in-memory CSR, the
+// mapped cache, or the streamed cache, in which case only the n×k belief
+// state is ever resident. Labels are bit-identical across the three
+// sources at one thread. Non-positive linbp.iterations or
+// convergence_scale is InvalidArgument.
 struct LabelOptions {
   EstimateOptions estimate;
   LinBpOptions linbp;

@@ -57,18 +57,18 @@ struct LinBpResult {
 LinBpResult RunLinBp(const Graph& graph, const Labeling& seeds,
                      const DenseMatrix& h, const LinBpOptions& options = {});
 
-// Same, over a whole-matrix adjacency view plus its weighted degrees — the
-// form the serving layer uses to propagate directly on an mmap'd .fgrbin
-// cache without materializing a Graph. The Graph overload delegates here
-// (graph.adjacency().View(), graph.degrees()).
+// Same, over a whole-matrix adjacency view plus its weighted degrees. The
+// Graph overload delegates here (graph.adjacency().View(),
+// graph.degrees()).
 LinBpResult RunLinBp(const CsrPanelView& adjacency,
                      const std::vector<double>& degrees,
                      const Labeling& seeds, const DenseMatrix& h,
                      const LinBpOptions& options = {});
 
 // The LinBP body, written once over any panel source; both RunLinBp
-// overloads run it on the single-panel source and PropagateLinBPStreaming
-// (prop/linbp_streaming.h) on a streamed one. ρ(W), unless hinted, costs
+// overloads run it on the single-panel source, PropagateLinBPStreaming
+// (prop/linbp_streaming.h) on a streamed one, and fgr::Label and fgrd on
+// whichever source they opened. ρ(W), unless hinted, costs
 // one pass per Lanczos multiply; each iteration is one pass in
 // which every panel fills its rows of W·F and folds them into F_next.
 // `degrees` (the weighted degrees, read only with echo cancellation) may

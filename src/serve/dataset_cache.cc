@@ -5,11 +5,13 @@
 #include <system_error>
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace fgr {
 
 namespace fs = std::filesystem;
 
-Result<std::shared_ptr<const MappedFgrBin>> DatasetCache::Acquire(
+Result<DatasetCache::Resident> DatasetCache::Acquire(
     const std::string& path) {
   std::error_code ec;
   fs::path canonical = fs::weakly_canonical(fs::path(path), ec);
@@ -46,12 +48,12 @@ Result<std::shared_ptr<const MappedFgrBin>> DatasetCache::Acquire(
           entry.inode == inode && entry.device == device) {
         lru_.splice(lru_.begin(), lru_, found->second);  // move to MRU
         ++counters_.hits;
-        return std::shared_ptr<const MappedFgrBin>(entry.mapped);
+        return entry.resident;
       }
       // Rewritten on disk: drop and reopen so the content hash (and with
       // it the summary cache) sees the new bytes.
       ++counters_.stale_reopens;
-      resident_bytes_ -= entry.mapped->resident_bytes();
+      resident_bytes_ -= entry.resident.mapped->resident_bytes();
       lru_.erase(found->second);
       index_.erase(found);
     }
@@ -69,27 +71,34 @@ Result<std::shared_ptr<const MappedFgrBin>> DatasetCache::Acquire(
 
   Entry entry;
   entry.path = key;
-  entry.mapped =
+  entry.resident.mapped =
       std::make_shared<const MappedFgrBin>(std::move(opened).value());
+  {
+    // Hash the bytes the mapping serves, still outside mutex_.
+    FGR_TRACE_SPAN("io/hash_fgrbin");
+    const MappedFgrBin& mapped = *entry.resident.mapped;
+    entry.resident.content_hash = HashBytes(
+        mapped.data(), static_cast<std::size_t>(mapped.info().file_size));
+  }
   entry.mtime = mtime;
   entry.file_size = file_size;
   entry.inode = inode;
   entry.device = device;
-  std::shared_ptr<const MappedFgrBin> mapped = entry.mapped;
+  const Resident resident = entry.resident;
 
   std::lock_guard<std::mutex> lock(mutex_);
   ++counters_.misses;
-  resident_bytes_ += entry.mapped->resident_bytes();
+  resident_bytes_ += resident.mapped->resident_bytes();
   lru_.push_front(std::move(entry));
   index_[key] = lru_.begin();
   EvictToBudgetLocked();
-  return mapped;
+  return resident;
 }
 
 void DatasetCache::EvictToBudgetLocked() {
   while (resident_bytes_ > byte_budget_ && lru_.size() > 1) {
     const Entry& victim = lru_.back();
-    resident_bytes_ -= victim.mapped->resident_bytes();
+    resident_bytes_ -= victim.resident.mapped->resident_bytes();
     index_.erase(victim.path);
     lru_.pop_back();  // in-flight shared_ptr holders keep the mapping alive
     ++counters_.evictions;

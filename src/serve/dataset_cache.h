@@ -8,6 +8,12 @@
 // with FailedPrecondition; the server then answers estimate queries for it
 // through the streaming summarizer instead of mapping it.
 //
+// Content hash: the cache computes the FNV-1a 64 hash of a dataset's
+// mapped bytes (HashBytes) once per open or reopen, outside its cache-wide
+// lock, and hands it out with the mapping; warm hits never hash. It is
+// the key the summary cache (serve/summary_cache.h) files statistics
+// under, so it must describe exactly the bytes the mapping serves.
+//
 // Staleness: every Acquire hit re-stats the file; a changed size, mtime,
 // or inode/device pair forces a reopen, which re-hashes the bytes — that
 // new content hash is what flows into the summary cache and invalidates
@@ -40,12 +46,18 @@ class DatasetCache {
 
   std::int64_t byte_budget() const { return byte_budget_; }
 
-  // Returns the resident dataset for `path` (canonicalized), opening and
-  // validating it on a miss and evicting least-recently-used entries until
-  // the cache fits its budget again. FailedPrecondition when the file by
-  // itself exceeds the budget — the caller falls back to streaming.
-  Result<std::shared_ptr<const MappedFgrBin>> Acquire(
-      const std::string& path);
+  // A resident dataset: the shared mapping and the hash of its bytes.
+  struct Resident {
+    std::shared_ptr<const MappedFgrBin> mapped;
+    std::uint64_t content_hash = 0;
+  };
+
+  // Returns the resident dataset for `path` (canonicalized), opening,
+  // validating and hashing it on a miss and evicting least-recently-used
+  // entries until the cache fits its budget again. FailedPrecondition when
+  // the file by itself exceeds the budget — the caller falls back to
+  // streaming.
+  Result<Resident> Acquire(const std::string& path);
 
   struct Counters {
     std::int64_t hits = 0;
@@ -64,7 +76,7 @@ class DatasetCache {
  private:
   struct Entry {
     std::string path;  // canonical
-    std::shared_ptr<const MappedFgrBin> mapped;
+    Resident resident;
     std::filesystem::file_time_type mtime;
     std::uintmax_t file_size = 0;
     std::uint64_t inode = 0;   // st_ino at open
@@ -82,7 +94,7 @@ class DatasetCache {
   // misses on the same path coalesce — the second waiter finds the
   // first's entry — while opens of different datasets, and every hit,
   // proceed without touching each other. mutex_ above is only ever held
-  // for map/LRU bookkeeping, never across MappedFgrBin::Open.
+  // for map/LRU bookkeeping, never across MappedFgrBin::Open or the hash.
   KeyedStateMap<std::mutex> open_states_;
   std::int64_t resident_bytes_ = 0;
   Counters counters_;

@@ -161,10 +161,7 @@ Result<std::uint64_t> FgrServer::StreamingContentHash(
 }
 
 Status FgrServer::Preload(const std::string& path) {
-  Result<std::shared_ptr<const MappedFgrBin>> acquired =
-      datasets_.Acquire(path);
-  if (!acquired.ok()) return acquired.status();
-  return Status::Ok();
+  return datasets_.Acquire(path).status();
 }
 
 Status FgrServer::RunEstimate(const Request& request,
@@ -185,16 +182,15 @@ Status FgrServer::RunEstimate(const Request& request,
   // Acquire canonicalizes internally; the resident branch reads the
   // canonical key back from the mapping rather than resolving the path a
   // second time on the warm hot path.
-  Result<std::shared_ptr<const MappedFgrBin>> acquired =
-      datasets_.Acquire(dataset);
+  Result<DatasetCache::Resident> acquired = datasets_.Acquire(dataset);
   if (acquired.ok()) {
-    const std::shared_ptr<const MappedFgrBin> mapped = acquired.value();
+    const std::shared_ptr<const MappedFgrBin> mapped = acquired.value().mapped;
     outcome->mapped = mapped;
     outcome->canonical_path = mapped->path();
     outcome->seeds = &mapped->labels();
     outcome->num_nodes = mapped->num_nodes();
     outcome->num_edges = mapped->num_edges();
-    content_hash = mapped->content_hash();
+    content_hash = acquired.value().content_hash;
     // Resident: the shared ℓ-pass body over the mapped CSR as one panel —
     // what ComputeGraphStatistics runs in-core, so the statistics match
     // the offline CLI bit for bit. The lambda captures only the mapping
@@ -318,10 +314,10 @@ Result<std::string> FgrServer::HandleEstimate(const Request& request) {
     Result<LinBpResult> prop = [&]() -> Result<LinBpResult> {
       FGR_TRACE_SPAN("serve/propagate");
       if (outcome.mapped != nullptr) {
-        // Propagate straight over the mapped adjacency — the view overload
-        // runs the identical kernels RunLinBp(graph, ...) runs in-core.
-        return RunLinBp(outcome.mapped->View(), outcome.mapped->degrees(),
-                        *outcome.seeds, outcome.estimate.h);
+        // Propagate straight over the mapped adjacency as one panel — the
+        // body RunLinBp(graph, ...) runs in-core.
+        WholeMatrixSource whole(outcome.mapped->View());
+        return RunLinBpOverPanels(whole, *outcome.seeds, outcome.estimate.h);
       }
       // Non-resident: block-row propagation over a streamed panel source;
       // only the n×k belief state is resident. Labels match the resident

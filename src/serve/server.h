@@ -18,8 +18,8 @@
 //                                     panel source for non-resident
 //                                     datasets)
 //     → EstimateDceFromStatistics    (k-scale restarts, graph-free)
-//     → [label only] RunLinBp over the mapped view, or, for non-resident
-//       datasets, PropagateLinBPStreaming: the same LinBP body (Lanczos
+//     → [label only] RunLinBpOverPanels over the mapped view, or, for
+//       non-resident datasets, PropagateLinBPStreaming: the same body (Lanczos
 //       ρ(W), then the iterations) over a prefetched StreamedPanelSource
 //       that re-reads the file block-row by block-row on every pass
 //     → [label only] LabelsFromBeliefs.
@@ -36,7 +36,7 @@
 // function of (file bytes, path type, ℓ), which is what makes them
 // cacheable. Results match the offline CLI bit for bit in serial runs
 // because every stage above is the same code path fgr_cli estimate/label
-// executes on a loaded Graph.
+// executes over the same panels.
 //
 // HandleRequestLine is the transport-free core — tests and benches call it
 // directly; the event loop is a framing-and-scheduling shell around it.

@@ -1,12 +1,14 @@
-// Tests for fgr::Estimate (fgr/estimate.h), the unified estimation entry
-// point: route selection (in-memory, in-core .fgrbin, streamed .fgrbin
-// under a budget), bit-identity across routes in serial runs, exact
-// equivalence of the legacy wrappers, and the error contract for
-// malformed DatasetRefs.
+// Tests for fgr::Estimate and fgr::Label (fgr/estimate.h), the unified
+// entry points: the three panel sources (in-memory, mapped .fgrbin,
+// streamed .fgrbin under a budget), bit-identity across them in serial
+// runs for unit-weight and weighted caches, exact equivalence of the
+// legacy wrappers, and the error contract for malformed DatasetRefs,
+// wrong-size seeds and invalid LinBP options.
 
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,7 +28,7 @@ struct Fixture {
 };
 
 Fixture MakeFixture(const std::string& name, std::uint64_t seed = 91,
-                    std::int64_t nodes = 400) {
+                    std::int64_t nodes = 400, bool weighted = false) {
   Rng rng(seed);
   auto planted =
       GeneratePlantedGraph(MakeSkewConfig(nodes, 8.0, 3, 3.0), rng);
@@ -34,6 +36,16 @@ Fixture MakeFixture(const std::string& name, std::uint64_t seed = 91,
   Fixture fixture;
   fixture.data.name = name;
   fixture.data.graph = std::move(planted.value().graph);
+  if (weighted) {
+    // Deterministic non-unit weights, so the cache carries a values section.
+    std::vector<Edge> edges = fixture.data.graph.UndirectedEdges();
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      edges[i].weight = 0.25 + static_cast<double>(i % 7) * 0.375;
+    }
+    auto reweighted = Graph::FromEdges(nodes, edges);
+    FGR_CHECK(reweighted.ok());
+    fixture.data.graph = std::move(reweighted).value();
+  }
   fixture.seeds = SampleStratifiedSeeds(planted.value().labels, 0.05, rng);
   fixture.data.labels = fixture.seeds;
   fixture.path = TempPath(name + ".fgrbin");
@@ -77,30 +89,115 @@ TEST(EstimateApiTest, EstimateDceWrapperIsTheRouter) {
 }
 
 TEST(EstimateApiTest, PathRouteSeedsFromEmbeddedLabels) {
-  SetNumThreads(1);
-  Fixture fixture = MakeFixture("api_path");
-  auto in_memory = Estimate(
-      DatasetRef::InMemory(fixture.data.graph, fixture.seeds), TestOptions());
-  auto from_path = Estimate(DatasetRef::FgrBin(fixture.path), TestOptions());
-  SetNumThreads(0);
-  ASSERT_TRUE(in_memory.ok());
-  ASSERT_TRUE(from_path.ok()) << from_path.status().ToString();
-  // Serial in-core runs over the same graph + seeds are bit-identical.
-  EXPECT_EQ(from_path.value().h.data(), in_memory.value().h.data());
+  for (const bool weighted : {false, true}) {
+    SetNumThreads(1);
+    Fixture fixture = MakeFixture(weighted ? "api_path_w" : "api_path_u", 91,
+                                  400, weighted);
+    auto in_memory = Estimate(
+        DatasetRef::InMemory(fixture.data.graph, fixture.seeds),
+        TestOptions());
+    auto from_path = Estimate(DatasetRef::FgrBin(fixture.path), TestOptions());
+    SetNumThreads(0);
+    ASSERT_TRUE(in_memory.ok());
+    ASSERT_TRUE(from_path.ok()) << from_path.status().ToString();
+    // Serial runs over the same graph + seeds are bit-identical, whether
+    // the CSR is the in-memory graph's or the mapped cache's.
+    EXPECT_EQ(from_path.value().h.data(), in_memory.value().h.data())
+        << "weighted=" << weighted;
+  }
 }
 
 TEST(EstimateApiTest, BudgetRouteStreamsBitIdenticallyWhenSerial) {
+  for (const bool weighted : {false, true}) {
+    SetNumThreads(1);
+    Fixture fixture = MakeFixture(
+        weighted ? "api_budget_w" : "api_budget_u", 91, 400, weighted);
+    auto in_core = Estimate(DatasetRef::FgrBin(fixture.path), TestOptions());
+    EstimateOptions streamed_options = TestOptions();
+    streamed_options.memory_budget_bytes = 8192;  // force multiple panels
+    auto streamed =
+        Estimate(DatasetRef::FgrBin(fixture.path), streamed_options);
+    SetNumThreads(0);
+    ASSERT_TRUE(in_core.ok());
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(streamed.value().h.data(), in_core.value().h.data())
+        << "weighted=" << weighted;
+  }
+}
+
+TEST(EstimateApiTest, LabelIsBitIdenticalOverAllThreeSourcesWhenSerial) {
   SetNumThreads(1);
-  Fixture fixture = MakeFixture("api_budget");
-  auto in_core = Estimate(DatasetRef::FgrBin(fixture.path), TestOptions());
-  EstimateOptions streamed_options = TestOptions();
-  streamed_options.memory_budget_bytes = 8192;  // force multiple panels
-  auto streamed =
-      Estimate(DatasetRef::FgrBin(fixture.path), streamed_options);
+  Fixture fixture = MakeFixture("api_label");
+  LabelOptions options;
+  options.estimate = TestOptions();
+  auto in_memory = Label(
+      DatasetRef::InMemory(fixture.data.graph, fixture.seeds), options);
+  auto mapped = Label(DatasetRef::FgrBin(fixture.path), options);
+  LabelOptions streamed_options = options;
+  streamed_options.estimate.memory_budget_bytes = 8192;
+  auto streamed = Label(DatasetRef::FgrBin(fixture.path), streamed_options);
   SetNumThreads(0);
-  ASSERT_TRUE(in_core.ok());
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_EQ(streamed.value().h.data(), in_core.value().h.data());
+  for (const LabelResult* other : {&mapped.value(), &streamed.value()}) {
+    EXPECT_EQ(other->estimate.h.data(), in_memory.value().estimate.h.data());
+    EXPECT_EQ(other->propagation.rho_w, in_memory.value().propagation.rho_w);
+    EXPECT_EQ(other->propagation.beliefs.data(),
+              in_memory.value().propagation.beliefs.data());
+    EXPECT_EQ(other->labels.raw(), in_memory.value().labels.raw());
+  }
+}
+
+TEST(EstimateApiTest, WrongSizeSeedsAreInvalidArgumentOnEveryRoute) {
+  Fixture fixture = MakeFixture("api_seed_size");
+  const Labeling four_nodes = Labeling::FromVector({0, -1, 1, 2}, 3);
+  EstimateOptions budgeted = TestOptions();
+  budgeted.memory_budget_bytes = 8192;
+  const DatasetRef refs[] = {
+      DatasetRef::InMemory(fixture.data.graph, four_nodes),
+      DatasetRef::FgrBin(fixture.path, &four_nodes)};
+  for (const DatasetRef& ref : refs) {
+    for (const EstimateOptions& options : {TestOptions(), budgeted}) {
+      if (ref.graph != nullptr && options.memory_budget_bytes) continue;
+      auto estimate = Estimate(ref, options);
+      ASSERT_FALSE(estimate.ok());
+      EXPECT_EQ(estimate.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(estimate.status().message().find("the seed labeling has 4"),
+                std::string::npos)
+          << estimate.status().message();
+
+      LabelOptions label_options;
+      label_options.estimate = options;
+      auto labeled = Label(ref, label_options);
+      ASSERT_FALSE(labeled.ok());
+      EXPECT_EQ(labeled.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(EstimateApiTest, LabelRejectsNonPositiveLinBpOptionsOnEveryRoute) {
+  Fixture fixture = MakeFixture("api_linbp_options");
+  for (const bool zero_iterations : {true, false}) {
+    LabelOptions options;
+    options.estimate = TestOptions();
+    if (zero_iterations) {
+      options.linbp.iterations = 0;
+    } else {
+      options.linbp.convergence_scale = 0.0;
+    }
+    LabelOptions budgeted = options;
+    budgeted.estimate.memory_budget_bytes = 8192;
+    const Result<LabelResult> results[] = {
+        Label(DatasetRef::InMemory(fixture.data.graph, fixture.seeds),
+              options),
+        Label(DatasetRef::FgrBin(fixture.path), options),
+        Label(DatasetRef::FgrBin(fixture.path), budgeted)};
+    for (const Result<LabelResult>& result : results) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(EstimateApiTest, RejectsMalformedDatasetRefs) {

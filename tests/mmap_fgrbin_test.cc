@@ -1,6 +1,6 @@
 // Tests for the zero-copy mmap .fgrbin reader: equivalence with ReadFgrBin
-// (views, degrees, labels, gold, and the kernels that run over them, bit
-// for bit), content hashing, and rejection of corrupt files.
+// (views, labels, gold, and the kernels that run over them, bit for bit)
+// and rejection of corrupt files.
 
 #include <cstdint>
 #include <cstdio>
@@ -86,7 +86,6 @@ TEST(MappedFgrBinTest, MatchesReadFgrBin) {
               loaded.value().labels.num_classes());
     ASSERT_TRUE(m.gold().has_value());
     EXPECT_EQ(m.gold()->data(), loaded.value().gold->data());
-    EXPECT_EQ(m.degrees(), loaded.value().graph.degrees());
 
     // The mapped view and the in-core matrix must run the SpMM kernel to
     // identical bits (unit-weight views multiply by an implicit 1.0).
@@ -137,35 +136,11 @@ TEST(MappedFgrBinTest, LinBpOverMappedViewIsBitIdentical) {
       {{0.2, 0.6, 0.2}, {0.6, 0.2, 0.2}, {0.2, 0.2, 0.6}});
   const LinBpResult in_core =
       RunLinBp(loaded.value().graph, fixture.seeds, h);
-  const LinBpResult over_view =
-      RunLinBp(mapped.value().View(), mapped.value().degrees(),
-               fixture.seeds, h);
-  EXPECT_EQ(over_view.epsilon, in_core.epsilon);
-  EXPECT_EQ(over_view.beliefs.data(), in_core.beliefs.data());
-}
-
-TEST(MappedFgrBinTest, ContentHashTracksContent) {
-  Fixture fixture = MakeFixture("mmap_hash", /*weighted=*/false);
-  auto mapped = MappedFgrBin::Open(fixture.path);
-  ASSERT_TRUE(mapped.ok());
-  auto hashed = HashFileContents(fixture.path);
-  ASSERT_TRUE(hashed.ok());
-  EXPECT_EQ(mapped.value().content_hash(), hashed.value());
-
-  // Rewriting with different labels must change the hash.
-  Labeling flipped = fixture.seeds;
-  for (NodeId i = 0; i < flipped.num_nodes(); ++i) {
-    if (flipped.is_labeled(i)) {
-      flipped.set_label(i, (flipped.label(i) + 1) % 3);
-      break;
-    }
-  }
-  LabeledGraph changed = fixture.data;
-  changed.labels = flipped;
-  ASSERT_TRUE(WriteFgrBin(changed, fixture.path).ok());
-  auto remapped = MappedFgrBin::Open(fixture.path);
-  ASSERT_TRUE(remapped.ok());
-  EXPECT_NE(remapped.value().content_hash(), mapped.value().content_hash());
+  WholeMatrixSource whole(mapped.value().View());
+  auto over_view = RunLinBpOverPanels(whole, fixture.seeds, h);
+  ASSERT_TRUE(over_view.ok());
+  EXPECT_EQ(over_view.value().epsilon, in_core.epsilon);
+  EXPECT_EQ(over_view.value().beliefs.data(), in_core.beliefs.data());
 }
 
 TEST(MappedFgrBinTest, RejectsTruncationAtEveryQuarter) {
@@ -236,9 +211,9 @@ TEST(MappedFgrBinTest, MoveTransfersTheMapping) {
   Fixture fixture = MakeFixture("mmap_move", /*weighted=*/false);
   auto mapped = MappedFgrBin::Open(fixture.path);
   ASSERT_TRUE(mapped.ok());
-  const std::uint64_t hash = mapped.value().content_hash();
+  const void* data = mapped.value().data();
   MappedFgrBin moved = std::move(mapped).value();
-  EXPECT_EQ(moved.content_hash(), hash);
+  EXPECT_EQ(moved.data(), data);
   EXPECT_GT(moved.resident_bytes(), 0);
   const DenseMatrix x = moved.labels().ToOneHot();
   DenseMatrix out(moved.num_nodes(), x.cols());

@@ -643,7 +643,7 @@ TEST(DatasetCacheTest, ReopensWhenTheFileChanges) {
   DatasetCache cache(std::int64_t{64} << 20);
   auto first = cache.Acquire(fixture.path);
   ASSERT_TRUE(first.ok());
-  const std::uint64_t original_hash = first.value()->content_hash();
+  const std::uint64_t original_hash = first.value().content_hash;
 
   // Rewrite with one extra node so size (and content) change.
   Fixture bigger = MakeFixture("stale_tmp", 26, 410);
@@ -654,7 +654,7 @@ TEST(DatasetCacheTest, ReopensWhenTheFileChanges) {
 
   auto second = cache.Acquire(fixture.path);
   ASSERT_TRUE(second.ok());
-  EXPECT_NE(second.value()->content_hash(), original_hash);
+  EXPECT_NE(second.value().content_hash, original_hash);
   EXPECT_GE(cache.counters().stale_reopens, 1);
 }
 
@@ -664,7 +664,7 @@ TEST(DatasetCacheTest, ReopensOnMtimePreservingSameSizeRewrite) {
   DatasetCache cache(std::int64_t{64} << 20);
   auto first = cache.Acquire(fixture.path);
   ASSERT_TRUE(first.ok());
-  const std::uint64_t original_hash = first.value()->content_hash();
+  const std::uint64_t original_hash = first.value().content_hash;
 
   // Same graph (same generation seed), different seed labeling: identical
   // file size, different bytes. Copy the original's mtime onto it and
@@ -690,7 +690,59 @@ TEST(DatasetCacheTest, ReopensOnMtimePreservingSameSizeRewrite) {
   auto second = cache.Acquire(fixture.path);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(cache.counters().stale_reopens, 1);
-  EXPECT_NE(second.value()->content_hash(), original_hash);
+  EXPECT_NE(second.value().content_hash, original_hash);
+}
+
+TEST(DatasetCacheTest, ContentHashTracksContent) {
+  namespace fs = std::filesystem;
+  Fixture fixture = MakeFixture("hash_tracks", 28);
+  DatasetCache cache(std::int64_t{64} << 20);
+  auto first = cache.Acquire(fixture.path);
+  ASSERT_TRUE(first.ok());
+  auto original = HashFileContents(fixture.path);
+  ASSERT_TRUE(original.ok());
+  EXPECT_EQ(first.value().content_hash, original.value());
+
+  // Same graph, one seed moved to another class: same size, new bytes.
+  Labeling flipped = fixture.seeds;
+  for (NodeId i = 0; i < flipped.num_nodes(); ++i) {
+    if (flipped.is_labeled(i)) {
+      flipped.set_label(i, (flipped.label(i) + 1) % 3);
+      break;
+    }
+  }
+  LabeledGraph changed = fixture.data;
+  changed.labels = flipped;
+  const std::string staged = TempPath("hash_tracks_staged.fgrbin");
+  ASSERT_TRUE(WriteFgrBin(changed, staged).ok());
+  ASSERT_EQ(fs::file_size(staged), fs::file_size(fixture.path));
+
+  // Copy the new bytes over the old in place and restore the mtime: size,
+  // mtime and inode all match, so the next Acquire is a warm hit, and it
+  // must hand back the hash stored at open rather than hash again.
+  const fs::file_time_type mtime = fs::last_write_time(fixture.path);
+  {
+    std::ifstream in(staged, std::ios::binary);
+    std::ofstream out(fixture.path, std::ios::binary | std::ios::in);
+    out << in.rdbuf();
+  }
+  fs::last_write_time(fixture.path, mtime);
+  auto rewritten = HashFileContents(fixture.path);
+  ASSERT_TRUE(rewritten.ok());
+  ASSERT_NE(rewritten.value(), original.value());
+  auto warm = cache.Acquire(fixture.path);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(cache.counters().hits, 1);
+  EXPECT_EQ(warm.value().mapped, first.value().mapped);
+  EXPECT_EQ(warm.value().content_hash, original.value());
+
+  // Once the rewrite is visible (a new mtime), the reopen hashes the new
+  // bytes.
+  fs::last_write_time(fixture.path, mtime + std::chrono::seconds(1));
+  auto reopened = cache.Acquire(fixture.path);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(cache.counters().stale_reopens, 1);
+  EXPECT_EQ(reopened.value().content_hash, rewritten.value());
 }
 
 // --- server handlers (transport-free) -------------------------------------

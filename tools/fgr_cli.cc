@@ -28,10 +28,10 @@
 //   fgr_cli estimate <name|edges.txt> <labels.txt> --classes K
 //           [--restarts R] [--lmax L] [--lambda X] [--memory-budget MB]
 //       Estimate and print the compatibility matrix. Labels use -1 for
-//       unlabeled nodes. With --memory-budget the dataset must be a
-//       .fgrbin cache; the CSR is then streamed block-row by block-row
-//       under the budget instead of materialized (out-of-core estimation
-//       for graphs larger than RAM).
+//       unlabeled nodes. A .fgrbin cache is mapped, not copied. With
+//       --memory-budget the dataset must be a .fgrbin cache; the CSR is
+//       then streamed block-row by block-row under the budget instead
+//       (out-of-core estimation for graphs larger than RAM).
 //
 //   fgr_cli label <name|edges.txt> <labels.txt> <out.txt> --classes K
 //           [--restarts R] [--memory-budget MB]
@@ -258,19 +258,6 @@ void PrintEstimateReport(std::int64_t num_nodes, std::int64_t num_edges,
               estimate.energy, estimate.h.ToString(4).c_str());
 }
 
-// Every CLI estimation path funnels through the unified fgr::Estimate
-// router (fgr/estimate.h); the in-memory route cannot fail once graph and
-// seeds are set.
-EstimationResult Estimate(const Graph& graph, const Labeling& seeds,
-                          const Flags& flags) {
-  EstimateOptions options;
-  options.dce = MakeDceOptions(flags);
-  Result<EstimationResult> result =
-      fgr::Estimate(DatasetRef::InMemory(graph, seeds), options);
-  FGR_CHECK(result.ok()) << result.status().message();
-  return std::move(result).value();
-}
-
 int RunEndToEnd(const Flags& flags) {
   const std::string reference = flags.Str("dataset");
   if (reference.empty()) return Usage();
@@ -288,7 +275,8 @@ int RunEndToEnd(const Flags& flags) {
               static_cast<long long>(seeds.NumLabeled()),
               100.0 * seeds.LabeledFraction());
 
-  const EstimationResult estimate = Estimate(graph, seeds, flags);
+  const EstimationResult estimate =
+      EstimateDce(graph, seeds, MakeDceOptions(flags));
   std::printf("estimated compatibility matrix "
               "(%.3fs summarization + %.3fs optimization):\n%s\n",
               estimate.seconds_summarization, estimate.seconds_optimization,
@@ -376,127 +364,97 @@ int RunGenerate(const std::string& edges_path, const std::string& labels_path,
   return 0;
 }
 
-// Out-of-core estimation: stream the .fgrbin cache's block-rows through the
-// summarizer under the budget instead of materializing the CSR. The output
-// matches the in-core path line for line (timings aside), so CI diffs the
-// two directly.
-int RunEstimateStreaming(const std::string& reference,
-                         const std::string& labels_path, const Flags& flags,
-                         std::int64_t budget_mb) {
-  const std::string extension(kFgrBinExtension);
-  if (reference.size() < extension.size() ||
-      reference.compare(reference.size() - extension.size(),
-                        extension.size(), extension) != 0) {
-    return Fail("--memory-budget streams a .fgrbin cache; convert first: "
-                "fgr_cli datasets convert " + reference + " <out" +
-                extension + ">");
-  }
-  auto info = InspectFgrBin(reference);
-  if (!info.ok()) return Fail(info.status().ToString());
-  auto seeds = ReadLabels(labels_path, info.value().num_nodes,
-                          static_cast<ClassId>(flags.Int("classes", -1)));
-  if (!seeds.ok()) return Fail(seeds.status().ToString());
+// What estimate/label run over, as a DatasetRef for fgr::Estimate/Label. A
+// .fgrbin goes to the library as its path — mapped in core, or streamed
+// block-row under --memory-budget MB — with the seeds read from the label
+// file over the cache's node count; the two outputs match line for line
+// (timings aside), so CI diffs them. Any other reference loads in memory
+// through MakeProblem. `ref` borrows the other members, so a target stays
+// where ResolveTarget filled it.
+struct Target {
+  Problem problem;
+  Labeling cache_seeds;
+  DatasetRef ref;
+  std::int64_t num_nodes = 0;
+  std::int64_t num_edges = 0;
+};
 
-  EstimateOptions options;
-  options.dce = MakeDceOptions(flags);
-  options.memory_budget_bytes = budget_mb << 20;
-  auto estimate =
-      fgr::Estimate(DatasetRef::FgrBin(reference, &seeds.value()), options);
-  if (!estimate.ok()) return Fail(estimate.status().ToString());
-
-  PrintEstimateReport(info.value().num_nodes, info.value().nnz / 2,
-                      seeds.value().NumLabeled(), estimate.value());
-  return 0;
-}
-
-int RunEstimate(const std::string& reference, const std::string& labels_path,
-                const Flags& flags) {
+// Fills `target` and `options` from the command line; returns 0, or the
+// exit code of the failure it reported.
+int ResolveTarget(const std::string& reference,
+                  const std::string& labels_path, const Flags& flags,
+                  Target* target, EstimateOptions* options) {
   // The legacy subcommands keep their explicit contract: a headerless seed
   // file cannot prove the class count (a class absent from the seeds would
   // silently shrink K), so --classes stays mandatory here.
   if (flags.Int("classes", 0) < 2) {
     return Fail("--classes K (K >= 2) is required");
   }
+  options->dce = MakeDceOptions(flags);
   const std::int64_t budget_mb = flags.Int("memory-budget", 0);
-  if (budget_mb > 0) {
-    return RunEstimateStreaming(reference, labels_path, flags, budget_mb);
+  if (reference.ends_with(kFgrBinExtension)) {
+    Result<FgrBinInfo> info = InspectFgrBin(reference);
+    if (!info.ok()) return Fail(info.status().ToString());
+    Result<Labeling> seeds =
+        ReadLabels(labels_path, info.value().num_nodes,
+                   static_cast<ClassId>(flags.Int("classes", -1)));
+    if (!seeds.ok()) return Fail(seeds.status().ToString());
+    target->cache_seeds = std::move(seeds).value();
+    target->ref = DatasetRef::FgrBin(reference, &target->cache_seeds);
+    target->num_nodes = info.value().num_nodes;
+    target->num_edges = info.value().nnz / 2;
+    if (budget_mb > 0) options->memory_budget_bytes = budget_mb << 20;
+    return 0;
   }
-  auto problem = MakeProblem(reference, labels_path, flags,
-                             /*sample_when_full=*/false);
+  if (budget_mb > 0) {
+    return Fail("--memory-budget streams a .fgrbin cache; convert first: "
+                "fgr_cli datasets convert " + reference + " <out" +
+                kFgrBinExtension + ">");
+  }
+  Result<Problem> problem = MakeProblem(reference, labels_path, flags,
+                                        /*sample_when_full=*/false);
   if (!problem.ok()) return Fail(problem.status().ToString());
-
-  const Graph& graph = problem.value().data.graph;
-  const EstimationResult estimate =
-      Estimate(graph, problem.value().seeds, flags);
-  PrintEstimateReport(graph.num_nodes(), graph.num_edges(),
-                      problem.value().seeds.NumLabeled(), estimate);
+  target->problem = std::move(problem).value();
+  const Graph& graph = target->problem.data.graph;
+  target->ref = DatasetRef::InMemory(graph, target->problem.seeds);
+  target->num_nodes = graph.num_nodes();
+  target->num_edges = graph.num_edges();
   return 0;
 }
 
-// Out-of-core labeling: estimation *and* LinBP propagation stream the
-// cache block-row under the budget — only the n×k belief state is
-// resident. Serial output files are byte-identical to the in-core label
-// path, so CI diffs the two directly.
-int RunLabelStreaming(const std::string& reference,
-                      const std::string& labels_path,
-                      const std::string& out_path, const Flags& flags,
-                      std::int64_t budget_mb) {
-  const std::string extension(kFgrBinExtension);
-  if (reference.size() < extension.size() ||
-      reference.compare(reference.size() - extension.size(),
-                        extension.size(), extension) != 0) {
-    return Fail("--memory-budget streams a .fgrbin cache; convert first: "
-                "fgr_cli datasets convert " + reference + " <out" +
-                extension + ">");
+int RunEstimate(const std::string& reference, const std::string& labels_path,
+                const Flags& flags) {
+  Target target;
+  EstimateOptions options;
+  if (const int rc =
+          ResolveTarget(reference, labels_path, flags, &target, &options)) {
+    return rc;
   }
-  auto info = InspectFgrBin(reference);
-  if (!info.ok()) return Fail(info.status().ToString());
-  auto seeds = ReadLabels(labels_path, info.value().num_nodes,
-                          static_cast<ClassId>(flags.Int("classes", -1)));
-  if (!seeds.ok()) return Fail(seeds.status().ToString());
-
-  LabelOptions options;
-  options.estimate.dce = MakeDceOptions(flags);
-  options.estimate.memory_budget_bytes = budget_mb << 20;
-  auto labeled =
-      fgr::Label(DatasetRef::FgrBin(reference, &seeds.value()), options);
-  if (!labeled.ok()) return Fail(labeled.status().ToString());
-
-  const Status status = WriteLabels(labeled.value().labels, out_path);
-  if (!status.ok()) return Fail(status.ToString());
-  std::printf("estimated H, propagated %d LinBP iterations, wrote %lld "
-              "labels to %s\n",
-              labeled.value().propagation.iterations_run,
-              static_cast<long long>(labeled.value().labels.num_nodes()),
-              out_path.c_str());
+  Result<EstimationResult> estimate = fgr::Estimate(target.ref, options);
+  if (!estimate.ok()) return Fail(estimate.status().ToString());
+  PrintEstimateReport(target.num_nodes, target.num_edges,
+                      target.ref.seeds->NumLabeled(), estimate.value());
   return 0;
 }
 
 int RunLabel(const std::string& reference, const std::string& labels_path,
              const std::string& out_path, const Flags& flags) {
-  if (flags.Int("classes", 0) < 2) {
-    return Fail("--classes K (K >= 2) is required");
+  Target target;
+  LabelOptions options;
+  if (const int rc = ResolveTarget(reference, labels_path, flags, &target,
+                                   &options.estimate)) {
+    return rc;
   }
-  const std::int64_t budget_mb = flags.Int("memory-budget", 0);
-  if (budget_mb > 0) {
-    return RunLabelStreaming(reference, labels_path, out_path, flags,
-                             budget_mb);
-  }
-  auto problem = MakeProblem(reference, labels_path, flags,
-                             /*sample_when_full=*/false);
-  if (!problem.ok()) return Fail(problem.status().ToString());
-
-  const Graph& graph = problem.value().data.graph;
-  const Labeling& seeds = problem.value().seeds;
-  const EstimationResult estimate = Estimate(graph, seeds, flags);
-  const LinBpResult prop = RunLinBp(graph, seeds, estimate.h);
-  const Labeling predicted = LabelsFromBeliefs(prop.beliefs, seeds);
+  Result<LabelResult> labeled = fgr::Label(target.ref, options);
+  if (!labeled.ok()) return Fail(labeled.status().ToString());
+  const Labeling& predicted = labeled.value().labels;
   const Status status = WriteLabels(predicted, out_path);
   if (!status.ok()) return Fail(status.ToString());
   std::printf("estimated H, propagated %d LinBP iterations, wrote %lld "
               "labels to %s\n",
-              prop.iterations_run,
-              static_cast<long long>(predicted.num_nodes()), out_path.c_str());
+              labeled.value().propagation.iterations_run,
+              static_cast<long long>(predicted.num_nodes()),
+              out_path.c_str());
   return 0;
 }
 
