@@ -1,9 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
-// SpMM and the fused transpose SpMM (the inner step of propagation and
-// summarization), CSR assembly, the full factorized summarization, spectral
-// radius, one LinBP run, the DCE objective/gradient evaluation (the
-// graph-size-independent inner loop of the optimization step), and the
-// numeric gradient.
+// SpMM (the inner step of propagation and summarization), CSR assembly,
+// the full factorized summarization, spectral radius, one LinBP run, the
+// DCE objective/gradient evaluation (the graph-size-independent inner loop
+// of the optimization step), and the numeric gradient.
 //
 // Kernels that ride the parallel backend take a trailing thread-count
 // argument (benchmark name suffix `/threads:N` reads as the last `/N`);
@@ -106,8 +105,8 @@ void BM_DisabledTraceSpans(benchmark::State& state) {
 }
 BENCHMARK(BM_DisabledTraceSpans)->Arg(1000000)->ArgNames({"spans"});
 
-// Kernel-variant dimension: the same SpMM / transpose SpMM with the ISA
-// pinned via SetKernelIsaForTest, so the dispatch cost and the SIMD win are
+// Kernel-variant dimension: the same SpMM with the ISA pinned via
+// SetKernelIsaForTest, so the dispatch cost and the SIMD win are
 // measured head to head on one binary. Cases are registered at runtime
 // (RegisterKernelIsaBenches) because the variant list depends on what this
 // build compiled in and this CPU supports:
@@ -119,7 +118,7 @@ BENCHMARK(BM_DisabledTraceSpans)->Arg(1000000)->ArgNames({"spans"});
 // The perf gate's simd_spmm_speedup invariant reads the k=5/threads:1
 // scalar-vs-best pair (tools/bench_lib.py).
 void RunSpmmIsa(benchmark::State& state, kernels::Isa isa, std::int64_t n,
-                std::int64_t k, int threads, bool transposed) {
+                std::int64_t k, int threads) {
   FGR_CHECK(kernels::SetKernelIsaForTest(isa))
       << "variant " << kernels::IsaName(isa) << " unavailable";
   const Fixture& fixture = SharedFixture(n, 25.0);
@@ -127,11 +126,7 @@ void RunSpmmIsa(benchmark::State& state, kernels::Isa isa, std::int64_t n,
   const DenseMatrix x = RandomBeliefs(n, k);
   DenseMatrix out;
   for (auto _ : state) {
-    if (transposed) {
-      fixture.graph.adjacency().MultiplyTransposed(x, &out);
-    } else {
-      fixture.graph.adjacency().Multiply(x, &out);
-    }
+    fixture.graph.adjacency().Multiply(x, &out);
     benchmark::DoNotOptimize(out.data().data());
   }
   SetNumThreads(0);
@@ -143,17 +138,14 @@ void RunSpmmIsa(benchmark::State& state, kernels::Isa isa, std::int64_t n,
 }
 
 void RegisterSpmmIsaCase(const std::string& isa_label, kernels::Isa isa,
-                         std::int64_t n, std::int64_t k, int threads,
-                         bool transposed) {
-  const std::string name =
-      std::string(transposed ? "BM_SpMMTransposedIsa" : "BM_SpMMIsa") +
-      "/isa:" + isa_label + "/n:" + std::to_string(n) +
-      "/k:" + std::to_string(k) + "/threads:" + std::to_string(threads);
+                         std::int64_t n, std::int64_t k, int threads) {
+  const std::string name = "BM_SpMMIsa/isa:" + isa_label +
+                           "/n:" + std::to_string(n) +
+                           "/k:" + std::to_string(k) +
+                           "/threads:" + std::to_string(threads);
   benchmark::RegisterBenchmark(name.c_str(),
-                               [isa, n, k, threads,
-                                transposed](benchmark::State& state) {
-                                 RunSpmmIsa(state, isa, n, k, threads,
-                                            transposed);
+                               [isa, n, k, threads](benchmark::State& state) {
+                                 RunSpmmIsa(state, isa, n, k, threads);
                                });
 }
 
@@ -171,40 +163,18 @@ void RegisterKernelIsaBenches() {
   for (const auto& [label, isa] : variants) {
     for (std::int64_t k : {2, 5, 10}) {
       for (int threads : {1, 4}) {
-        RegisterSpmmIsaCase(label, isa, 100000, k, threads, false);
+        RegisterSpmmIsaCase(label, isa, 100000, k, threads);
       }
-    }
-    for (int threads : {1, 4}) {
-      RegisterSpmmIsaCase(label, isa, 100000, 5, threads, true);
     }
   }
   // Each supported SIMD variant under its own name, single-threaded k=5.
   if (kernels::IsaAvailable(kernels::Isa::kAvx2)) {
-    RegisterSpmmIsaCase("avx2", kernels::Isa::kAvx2, 100000, 5, 1, false);
+    RegisterSpmmIsaCase("avx2", kernels::Isa::kAvx2, 100000, 5, 1);
   }
   if (kernels::IsaAvailable(kernels::Isa::kAvx512)) {
-    RegisterSpmmIsaCase("avx512", kernels::Isa::kAvx512, 100000, 5, 1, false);
+    RegisterSpmmIsaCase("avx512", kernels::Isa::kAvx512, 100000, 5, 1);
   }
 }
-
-void BM_SpMMTransposed(benchmark::State& state) {
-  const Fixture& fixture = SharedFixture(state.range(0), 25.0);
-  const std::int64_t k = state.range(1);
-  SetNumThreads(static_cast<int>(state.range(2)));
-  const DenseMatrix x = RandomBeliefs(state.range(0), k);
-  DenseMatrix out;
-  for (auto _ : state) {
-    fixture.graph.adjacency().MultiplyTransposed(x, &out);
-    benchmark::DoNotOptimize(out.data().data());
-  }
-  SetNumThreads(0);
-  state.counters["edges_per_sec"] = benchmark::Counter(
-      static_cast<double>(fixture.graph.num_edges() * 2),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_SpMMTransposed)
-    ->ArgsProduct({{10000}, {5}, {1, 2, 4, 8}})
-    ->ArgNames({"n", "k", "threads"});
 
 void BM_CsrFromTriplets(benchmark::State& state) {
   const std::int64_t n = state.range(0);

@@ -1,12 +1,12 @@
 // Vectorized kernel backend for the CsrPanelView primitives.
 //
-// Every estimate/label/serve path funnels through four inner loops: SpMM
-// (W × dense n×k), the fused transpose SpMM (Wᵀ × X scatter), SpMV, and
-// weighted row sums. This layer provides those loops as flat-pointer
-// kernels in three variants — portable scalar, AVX2+FMA, AVX-512F — behind
-// a one-time runtime dispatch, so `sparse.cc` keeps owning sharding,
-// shape checks, and determinism policy while the innermost k-wide loops
-// run at the width the CPU offers.
+// Every estimate/label/serve path funnels through three inner loops: SpMM
+// (W × dense n×k), SpMV, and weighted row sums. W is symmetric, so no path
+// needs a transpose product. This layer provides those loops as
+// flat-pointer kernels in three variants — portable scalar, AVX2+FMA,
+// AVX-512F — behind a one-time runtime dispatch, so `sparse.cc` keeps
+// owning sharding, shape checks, and determinism policy while the
+// innermost k-wide loops run at the width the CPU offers.
 //
 // Dispatch order (resolved once, then cached):
 //   1. SetKernelIsaForTest() override, when a test pinned a variant;
@@ -20,11 +20,11 @@
 //   * the scalar kernels are bit-identical to the historical loops in
 //     sparse.cc — same iteration order, same mul-then-add rounding;
 //   * the SIMD kernels keep the same per-row entry order but use FMA
-//     (single rounding) for SpMM/transpose and lane-parallel accumulators
-//     for SpMV/row sums, so results agree with scalar only to
-//     kKernelVariantTolerance — exact iteration-order reassociation is
-//     preserved for SpMM/transpose (FMA rounding is the only delta), and
-//     SpMV/row-sum reductions additionally reassociate across lanes;
+//     (single rounding) for SpMM and lane-parallel accumulators for
+//     SpMV/row sums, so results agree with scalar only to
+//     kKernelVariantTolerance — exact iteration order is preserved for
+//     SpMM (FMA rounding is the only delta), and SpMV/row-sum
+//     reductions additionally reassociate across lanes;
 //   * for a FIXED variant, every kernel stays deterministic and the
 //     sharding-level guarantees (bit-identical row-partitioned kernels at
 //     any thread count, shard-order reductions) are untouched.
@@ -72,20 +72,6 @@ using SpmmFn = void (*)(const Csr& csr, Index row_begin, Index row_end,
                         const double* x, Index x_stride, double* out,
                         Index out_stride, Index k);
 
-// Fused transpose scatter over a column window: for each panel row i in
-// [row_begin, row_end), consumes the row's entries whose column lies in
-// [col_begin, col_end) starting at cursors[i], adding
-// values[p] · x[i·x_stride .. +k) into out[(col−col_begin)·out_stride ..).
-// cursors[i] holds the row's next unconsumed entry (panel-local index,
-// i.e. row_ptr[i] − row_ptr[0] initially) and is advanced past the window;
-// columns ascend within a row, so successive ascending windows sweep each
-// entry exactly once. A full-width window (0, cols) with out pointing at
-// the real output reproduces the direct serial scatter.
-using SpmmTAddFn = void (*)(const Csr& csr, Index row_begin, Index row_end,
-                            Index* cursors, const double* x, Index x_stride,
-                            double* out, Index out_stride, Index k,
-                            Index col_begin, Index col_end);
-
 // y[i] = Σ_p values[p] · x[col_idx[p]] for each panel row i in
 // [row_begin, row_end). `x` is indexed by global column, `y` by panel row.
 using SpmvFn = void (*)(const Csr& csr, Index row_begin, Index row_end,
@@ -100,7 +86,6 @@ using RowSumsFn = void (*)(const Csr& csr, Index row_begin, Index row_end,
 struct KernelTable {
   Isa isa = Isa::kScalar;
   SpmmFn spmm = nullptr;
-  SpmmTAddFn spmm_t_add = nullptr;
   SpmvFn spmv = nullptr;
   RowSumsFn row_sums = nullptr;
 };

@@ -53,14 +53,6 @@ void Spmm(const Csr& csr, Index row_begin, Index row_end, const double* x,
                              out_stride, k);
 }
 
-void SpmmTAdd(const Csr& csr, Index row_begin, Index row_end, Index* cursors,
-              const double* x, Index x_stride, double* out, Index out_stride,
-              Index k, Index col_begin, Index col_end) {
-  SpmmTAddDispatch<Avx512Policy>(csr, row_begin, row_end, cursors, x,
-                                 x_stride, out, out_stride, k, col_begin,
-                                 col_end);
-}
-
 void Spmv(const Csr& csr, Index row_begin, Index row_end, const double* x,
           double* y) {
   SpmvDispatch<Avx512Policy>(csr, row_begin, row_end, x, y);
@@ -73,8 +65,7 @@ void RowSums(const Csr& csr, Index row_begin, Index row_end, double* out) {
 }  // namespace
 
 const KernelTable& Avx512KernelTable() {
-  static const KernelTable table{Isa::kAvx512, &Spmm, &SpmmTAdd, &Spmv,
-                                 &RowSums};
+  static const KernelTable table{Isa::kAvx512, &Spmm, &Spmv, &RowSums};
   return table;
 }
 

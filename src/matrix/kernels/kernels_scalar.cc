@@ -46,38 +46,6 @@ void Spmm(const Csr& csr, Index row_begin, Index row_end, const double* x,
 }
 
 template <typename ValueAt>
-void SpmmTAddImpl(const Csr& csr, Index row_begin, Index row_end,
-                  Index* cursors, const double* x, Index x_stride, double* out,
-                  Index out_stride, Index k, Index col_begin, Index col_end,
-                  ValueAt value_at) {
-  const Index base = csr.row_ptr[0];
-  for (Index i = row_begin; i < row_end; ++i) {
-    const double* x_row = x + i * x_stride;
-    const Index end = csr.row_ptr[i + 1] - base;
-    Index p = cursors[i];
-    for (; p < end && csr.col_idx[p] < col_end; ++p) {
-      const double v = value_at(p);
-      double* t_row = out + (csr.col_idx[p] - col_begin) * out_stride;
-      for (Index j = 0; j < k; ++j) t_row[j] += v * x_row[j];
-    }
-    cursors[i] = p;
-  }
-}
-
-void SpmmTAdd(const Csr& csr, Index row_begin, Index row_end, Index* cursors,
-              const double* x, Index x_stride, double* out, Index out_stride,
-              Index k, Index col_begin, Index col_end) {
-  if (csr.values == nullptr) {
-    SpmmTAddImpl(csr, row_begin, row_end, cursors, x, x_stride, out,
-                 out_stride, k, col_begin, col_end, [](Index) { return 1.0; });
-  } else {
-    SpmmTAddImpl(csr, row_begin, row_end, cursors, x, x_stride, out,
-                 out_stride, k, col_begin, col_end,
-                 [&csr](Index p) { return csr.values[p]; });
-  }
-}
-
-template <typename ValueAt>
 void SpmvImpl(const Csr& csr, Index row_begin, Index row_end, const double* x,
               double* y, ValueAt value_at) {
   const Index base = csr.row_ptr[0];
@@ -116,8 +84,7 @@ void RowSums(const Csr& csr, Index row_begin, Index row_end, double* out) {
 }  // namespace
 
 const KernelTable& ScalarKernelTable() {
-  static const KernelTable table{Isa::kScalar, &Spmm, &SpmmTAdd, &Spmv,
-                                 &RowSums};
+  static const KernelTable table{Isa::kScalar, &Spmm, &Spmv, &RowSums};
   return table;
 }
 

@@ -2,18 +2,18 @@
 //
 // The AVX2 and AVX-512 translation units each define a policy type
 // (vector width, load/store, masked tail load/store, FMA, gather,
-// horizontal reduce) and instantiate these templates; the kernel logic —
-// iteration order, register blocking, cursor handling — lives here once.
+// horizontal reduce) and instantiate these templates for the three
+// primitives (SpMM, SpMV, weighted row sums); the kernel logic — iteration
+// order, register blocking — lives here once.
 // Only the per-TU policy files are compiled with extended ISA flags, so
 // this header must stay intrinsic-free.
 //
 // Register blocking: k ∈ {2, 5, 10} dominates real workloads, so every
-// k ≤ kMaxSpecializedK gets a specialization whose accumulators (or the
-// hoisted x-row for the transpose scatter) live in vector registers across
-// the whole per-row entry loop; a full vector covers lanes [0, kLanes) and
-// a masked tail covers the remainder, so no load or store ever touches
-// memory past column k. Larger k falls back to a generic strip-mined loop
-// that streams through the output row per entry.
+// k ≤ kMaxSpecializedK gets an SpMM specialization whose accumulators live
+// in vector registers across the whole per-row entry loop; a full vector
+// covers lanes [0, kLanes) and a masked tail covers the remainder, so no
+// load or store ever touches memory past column k. Larger k falls back to a
+// generic strip-mined loop that streams through the output row per entry.
 //
 // Numeric notes (see kernels.h for the cross-variant contract): entry
 // iteration order matches the scalar kernels exactly; FMA fuses each
@@ -112,96 +112,6 @@ void SpmmRowsGeneric(const Csr& csr, Index row_begin, Index row_end,
   }
 }
 
-// ---- Fused transpose scatter over a column window -------------------------
-
-template <typename P, int K, bool kUnit>
-void SpmmTAddRowsK(const Csr& csr, Index row_begin, Index row_end,
-                   Index* cursors, const double* x, Index x_stride,
-                   double* out, Index out_stride, Index col_begin,
-                   Index col_end) {
-  constexpr int kL = static_cast<int>(P::kLanes);
-  constexpr int NV = K / kL;
-  constexpr int TAIL = K % kL;
-  constexpr int NX = NV + (TAIL != 0 ? 1 : 0);
-  const Index base = csr.row_ptr[0];
-  for (Index i = row_begin; i < row_end; ++i) {
-    const Index end = csr.row_ptr[i + 1] - base;
-    Index p = cursors[i];
-    if (p >= end || csr.col_idx[p] >= col_end) continue;
-    // The panel row is reused by every entry in the window: hoist it into
-    // registers once instead of reloading per scatter target.
-    const double* x_row = x + i * x_stride;
-    typename P::Vec xv[NX];
-    for (int c = 0; c < NV; ++c) xv[c] = P::LoadU(x_row + c * kL);
-    if constexpr (TAIL != 0) xv[NV] = P::LoadTail(x_row + NV * kL, TAIL);
-    for (; p < end && csr.col_idx[p] < col_end; ++p) {
-      double* t_row = out + (csr.col_idx[p] - col_begin) * out_stride;
-      if constexpr (kUnit) {
-        for (int c = 0; c < NV; ++c) {
-          P::StoreU(t_row + c * kL, P::Add(P::LoadU(t_row + c * kL), xv[c]));
-        }
-        if constexpr (TAIL != 0) {
-          P::StoreTail(t_row + NV * kL, TAIL,
-                       P::Add(P::LoadTail(t_row + NV * kL, TAIL), xv[NV]));
-        }
-      } else {
-        const typename P::Vec v = P::Set1(csr.values[p]);
-        for (int c = 0; c < NV; ++c) {
-          P::StoreU(t_row + c * kL,
-                    P::Fmadd(v, xv[c], P::LoadU(t_row + c * kL)));
-        }
-        if constexpr (TAIL != 0) {
-          P::StoreTail(t_row + NV * kL, TAIL,
-                       P::Fmadd(v, xv[NV],
-                                P::LoadTail(t_row + NV * kL, TAIL)));
-        }
-      }
-    }
-    cursors[i] = p;
-  }
-}
-
-template <typename P, bool kUnit>
-void SpmmTAddRowsGeneric(const Csr& csr, Index row_begin, Index row_end,
-                         Index* cursors, const double* x, Index x_stride,
-                         double* out, Index out_stride, Index k,
-                         Index col_begin, Index col_end) {
-  constexpr Index kL = P::kLanes;
-  const Index full = k - k % kL;
-  const Index tail = k - full;
-  const Index base = csr.row_ptr[0];
-  for (Index i = row_begin; i < row_end; ++i) {
-    const double* x_row = x + i * x_stride;
-    const Index end = csr.row_ptr[i + 1] - base;
-    Index p = cursors[i];
-    for (; p < end && csr.col_idx[p] < col_end; ++p) {
-      double* t_row = out + (csr.col_idx[p] - col_begin) * out_stride;
-      if constexpr (kUnit) {
-        for (Index j = 0; j < full; j += kL) {
-          P::StoreU(t_row + j, P::Add(P::LoadU(t_row + j), P::LoadU(x_row + j)));
-        }
-        if (tail != 0) {
-          P::StoreTail(t_row + full, tail,
-                       P::Add(P::LoadTail(t_row + full, tail),
-                              P::LoadTail(x_row + full, tail)));
-        }
-      } else {
-        const typename P::Vec v = P::Set1(csr.values[p]);
-        for (Index j = 0; j < full; j += kL) {
-          P::StoreU(t_row + j,
-                    P::Fmadd(v, P::LoadU(x_row + j), P::LoadU(t_row + j)));
-        }
-        if (tail != 0) {
-          P::StoreTail(t_row + full, tail,
-                       P::Fmadd(v, P::LoadTail(x_row + full, tail),
-                                P::LoadTail(t_row + full, tail)));
-        }
-      }
-    }
-    cursors[i] = p;
-  }
-}
-
 // ---- SpMV and weighted row sums -------------------------------------------
 
 template <typename P, bool kUnit>
@@ -288,51 +198,6 @@ void SpmmDispatch(const Csr& csr, Index row_begin, Index row_end,
       } else {
         SpmmRowsGeneric<P, false>(csr, row_begin, row_end, x, x_stride, out,
                                   out_stride, k);
-      }
-  }
-}
-
-template <typename P>
-void SpmmTAddDispatch(const Csr& csr, Index row_begin, Index row_end,
-                      Index* cursors, const double* x, Index x_stride,
-                      double* out, Index out_stride, Index k, Index col_begin,
-                      Index col_end) {
-  const bool unit = csr.values == nullptr;
-  switch (k) {
-#define FGR_SPMMT_CASE(K)                                                    \
-  case K:                                                                    \
-    if (unit) {                                                              \
-      SpmmTAddRowsK<P, K, true>(csr, row_begin, row_end, cursors, x,         \
-                                x_stride, out, out_stride, col_begin,        \
-                                col_end);                                    \
-    } else {                                                                 \
-      SpmmTAddRowsK<P, K, false>(csr, row_begin, row_end, cursors, x,        \
-                                 x_stride, out, out_stride, col_begin,       \
-                                 col_end);                                   \
-    }                                                                        \
-    return;
-    FGR_SPMMT_CASE(1)
-    FGR_SPMMT_CASE(2)
-    FGR_SPMMT_CASE(3)
-    FGR_SPMMT_CASE(4)
-    FGR_SPMMT_CASE(5)
-    FGR_SPMMT_CASE(6)
-    FGR_SPMMT_CASE(7)
-    FGR_SPMMT_CASE(8)
-    FGR_SPMMT_CASE(9)
-    FGR_SPMMT_CASE(10)
-    FGR_SPMMT_CASE(11)
-    FGR_SPMMT_CASE(12)
-#undef FGR_SPMMT_CASE
-    default:
-      if (unit) {
-        SpmmTAddRowsGeneric<P, true>(csr, row_begin, row_end, cursors, x,
-                                     x_stride, out, out_stride, k, col_begin,
-                                     col_end);
-      } else {
-        SpmmTAddRowsGeneric<P, false>(csr, row_begin, row_end, cursors, x,
-                                      x_stride, out, out_stride, k, col_begin,
-                                      col_end);
       }
   }
 }

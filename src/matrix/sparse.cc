@@ -9,7 +9,6 @@
 #include "matrix/kernels/kernels.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "util/arena.h"
 #include "util/parallel.h"
 
 namespace fgr {
@@ -43,85 +42,6 @@ void CsrPanelView::MultiplyInto(const DenseMatrix& x, DenseMatrix* out) const {
         kt.spmm(csr, row_begin, row_end, x_base, x_stride, out_base,
                 out_stride, k);
       });
-}
-
-void CsrPanelView::MultiplyTransposedAddInto(const DenseMatrix& x,
-                                             DenseMatrix* out) const {
-  FGR_CHECK(out != nullptr);
-  FGR_CHECK(out != &x) << "SpMM output must not alias the input";
-  FGR_CHECK_GE(x.rows(), first_row_ + rows_);
-  FGR_CHECK_EQ(out->rows(), cols_);
-  FGR_CHECK_EQ(out->cols(), x.cols());
-  FGR_TRACE_SPAN("kernel/spmm_t_add");
-  obs::AddCounter(obs::PipelineCounter::kKernelSpmmTCalls, 1);
-  const Index k = x.cols();
-  const Index base = row_ptr_[0];
-  // Rows of the panel scatter into rows of the transposed product, so
-  // row-parallelism needs per-shard output buffers; they are combined in
-  // shard order, which keeps results deterministic for a fixed thread
-  // count. Shard boundaries are nnz-balanced so hub rows do not serialize
-  // the scatter. The scatter is column-tiled: each shard's partial buffer
-  // covers one L2-sized tile of columns instead of a full cols×k matrix
-  // (the historical layout), and all scratch comes from the calling
-  // thread's arena so repeated calls perform no heap allocations. Columns
-  // ascend within each row, so per-row cursors sweep every entry exactly
-  // once across the ascending tiles, and each output row still receives
-  // its contributions in ascending source-row order — the serial
-  // full-width window is bit-identical to the historical direct scatter.
-  const std::vector<Index> boundaries =
-      ShardByWeight(row_ptr_, rows_, NumShards(rows_));
-  const int shards = static_cast<int>(boundaries.size()) - 1;
-  if (shards <= 0) return;
-  const kernels::KernelTable& kt = kernels::ActiveKernels();
-  const kernels::Csr csr{row_ptr_, col_idx_, values_};
-  const double* x_base = x.raw() + first_row_ * x.stride();
-  const Index x_stride = x.stride();
-  ArenaScope scope(ThreadLocalArena());
-  Index* cursors = scope.AllocateArray<Index>(static_cast<std::size_t>(rows_));
-  for (Index i = 0; i < rows_; ++i) cursors[i] = row_ptr_[i] - base;
-  if (shards == 1) {
-    kt.spmm_t_add(csr, 0, rows_, cursors, x_base, x_stride, out->raw(),
-                  out->stride(), k, 0, cols_);
-    return;
-  }
-  // ~256 KB of scratch per shard: tall enough to amortize the per-tile
-  // fork/join, small enough to stay L2-resident during the scatter.
-  constexpr Index kTileScratchDoubles = 32768;
-  const Index tile_cols = std::min<Index>(
-      cols_, std::max<Index>(512, kTileScratchDoubles / std::max<Index>(k, 1)));
-  const Index tile_elems = tile_cols * k;
-  double* scratch = scope.AllocateArray<double>(
-      static_cast<std::size_t>(shards) * static_cast<std::size_t>(tile_elems));
-  bool* active = scope.AllocateArray<bool>(static_cast<std::size_t>(shards));
-  for (Index c0 = 0; c0 < cols_; c0 += tile_cols) {
-    const Index c1 = std::min(cols_, c0 + tile_cols);
-    ParallelForShards(boundaries, [&](Index lo, Index hi, int shard) {
-      // Entries before a cursor were consumed by earlier tiles, so the
-      // cursor's own column decides whether the shard has work here; idle
-      // shards skip the zeroing and are skipped again by the reduction.
-      bool has_work = false;
-      for (Index i = lo; i < hi; ++i) {
-        const Index p = cursors[i];
-        if (p < row_ptr_[i + 1] - base && col_idx_[p] < c1) {
-          has_work = true;
-          break;
-        }
-      }
-      active[shard] = has_work;
-      if (!has_work) return;
-      double* buf = scratch + shard * tile_elems;
-      std::fill(buf, buf + (c1 - c0) * k, 0.0);
-      kt.spmm_t_add(csr, lo, hi, cursors, x_base, x_stride, buf, k, k, c0, c1);
-    });
-    ParallelFor(c0, c1, [&](Index c) {
-      double* out_row = out->RowPtr(c);
-      for (int shard = 0; shard < shards; ++shard) {
-        if (!active[shard]) continue;
-        const double* p_row = scratch + shard * tile_elems + (c - c0) * k;
-        for (Index j = 0; j < k; ++j) out_row[j] += p_row[j];
-      }
-    });
-  }
 }
 
 void CsrPanelView::RowSumsInto(double* out) const {
@@ -444,25 +364,6 @@ void SparseMatrix::Multiply(const DenseMatrix& x, DenseMatrix* out) const {
 DenseMatrix SparseMatrix::Multiply(const DenseMatrix& x) const {
   DenseMatrix out;
   Multiply(x, &out);
-  return out;
-}
-
-void SparseMatrix::MultiplyTransposed(const DenseMatrix& x,
-                                      DenseMatrix* out) const {
-  FGR_CHECK_EQ(rows_, x.rows()) << "transposed SpMM shape mismatch";
-  FGR_CHECK(out != nullptr);
-  FGR_CHECK(out != &x) << "SpMM output must not alias the input";
-  if (out->rows() != cols_ || out->cols() != x.cols()) {
-    *out = DenseMatrix(cols_, x.cols());
-  } else {
-    out->SetZero();
-  }
-  View().MultiplyTransposedAddInto(x, out);
-}
-
-DenseMatrix SparseMatrix::MultiplyTransposed(const DenseMatrix& x) const {
-  DenseMatrix out;
-  MultiplyTransposed(x, &out);
   return out;
 }
 

@@ -32,10 +32,10 @@ struct Triplet {
 // kernels. The view covers global rows [first_row, first_row + rows) of a
 // matrix whose full column space stays addressable, so Multiply gathers
 // from every row of the dense operand while writing only the panel's
-// output rows. SparseMatrix::Multiply/MultiplyTransposed run on a
-// whole-matrix view of their own storage, so a streamed panel takes
-// exactly the in-core kernel: per-row results are bit-identical, and only
-// sharded reductions reassociate.
+// output rows. SparseMatrix::Multiply runs on a whole-matrix view of its
+// own storage, so a streamed panel takes exactly the in-core kernel:
+// per-row results are bit-identical, and only sharded reductions
+// reassociate.
 class CsrPanelView {
  public:
   using Index = std::int64_t;
@@ -73,13 +73,6 @@ class CsrPanelView {
   // nnz-balanced shards; each output row is accumulated by one worker in
   // serial order, so results are bit-identical at any thread count.
   void MultiplyInto(const DenseMatrix& x, DenseMatrix* out) const;
-
-  // Adds the panel's contribution to matrixᵀ × x into `out` (cols() ×
-  // x.cols(), zeroed by the caller before the pass). Rows scatter into
-  // shared output rows, so the threaded version combines per-shard
-  // partials in shard order (deterministic for a fixed thread count,
-  // reassociated relative to serial).
-  void MultiplyTransposedAddInto(const DenseMatrix& x, DenseMatrix* out) const;
 
   // Row sums of the panel (weighted degrees), written to out[0..rows()).
   void RowSumsInto(double* out) const;
@@ -170,16 +163,6 @@ class SparseMatrix {
 
   // Convenience wrapper returning a fresh matrix.
   DenseMatrix Multiply(const DenseMatrix& x) const;
-
-  // out = thisᵀ × x without materializing the transpose. Checks
-  // x.rows() == rows(); `out` is resized/zeroed internally and must not
-  // alias x. Single-threaded results match Transpose().Multiply(x) bit for
-  // bit; multi-threaded results combine per-shard partial sums and agree to
-  // floating-point reassociation (~1e-12 relative).
-  void MultiplyTransposed(const DenseMatrix& x, DenseMatrix* out) const;
-
-  // Convenience wrapper returning a fresh matrix.
-  DenseMatrix MultiplyTransposed(const DenseMatrix& x) const;
 
   // y = this × x for a vector. Checks x.size() == cols(); row-parallel and
   // bit-reproducible across thread counts like Multiply.

@@ -19,7 +19,6 @@ constexpr const char* kNames[kNumCounters] = {
     "prefetch_queue_depth_sum",
     "prefetch_queue_depth_samples",
     "kernel_spmm_calls",
-    "kernel_spmm_t_calls",
     "kernel_spmv_calls",
     "kernel_row_sums_calls",
 };

@@ -30,7 +30,6 @@ enum class PipelineCounter : int {
   kPrefetchQueueDepthSum,
   kPrefetchQueueDepthSamples,
   kKernelSpmmCalls,
-  kKernelSpmmTCalls,
   kKernelSpmvCalls,
   kKernelRowSumsCalls,
   kCount  // sentinel

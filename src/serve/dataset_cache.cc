@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <filesystem>
 #include <system_error>
 #include <utility>
 
@@ -11,25 +12,29 @@ namespace fgr {
 
 namespace fs = std::filesystem;
 
+Result<FileStamp> FileStamp::Of(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) {
+    return Status::NotFound("cannot stat " + path);
+  }
+  FileStamp stamp;
+  stamp.mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+                   st.st_mtim.tv_nsec;
+  stamp.file_size = static_cast<std::uint64_t>(st.st_size);
+  stamp.inode = static_cast<std::uint64_t>(st.st_ino);
+  stamp.device = static_cast<std::uint64_t>(st.st_dev);
+  return stamp;
+}
+
 Result<DatasetCache::Resident> DatasetCache::Acquire(
     const std::string& path) {
   std::error_code ec;
   fs::path canonical = fs::weakly_canonical(fs::path(path), ec);
   const std::string key = ec ? path : canonical.string();
 
-  const fs::file_time_type mtime = fs::last_write_time(key, ec);
-  if (ec) return Status::NotFound("cannot stat " + key);
-  const std::uintmax_t file_size = fs::file_size(key, ec);
-  if (ec) return Status::NotFound("cannot stat " + key);
-  // The identity half of the freshness key: an mtime-preserving same-size
-  // rewrite (cp -p, rsync -t, temp+rename) is invisible to the two checks
-  // above but always lands the path on a fresh inode.
-  struct stat st;
-  if (::stat(key.c_str(), &st) != 0) {
-    return Status::NotFound("cannot stat " + key);
-  }
-  const std::uint64_t inode = static_cast<std::uint64_t>(st.st_ino);
-  const std::uint64_t device = static_cast<std::uint64_t>(st.st_dev);
+  Result<FileStamp> stamped = FileStamp::Of(key);
+  if (!stamped.ok()) return stamped.status();
+  const FileStamp stamp = stamped.value();
 
   // Per-dataset open lock first, then the cache-wide lock only for map
   // and LRU bookkeeping: a multi-second cold open (validation + hashing
@@ -44,8 +49,7 @@ Result<DatasetCache::Resident> DatasetCache::Acquire(
     auto found = index_.find(key);
     if (found != index_.end()) {
       Entry& entry = *found->second;
-      if (entry.mtime == mtime && entry.file_size == file_size &&
-          entry.inode == inode && entry.device == device) {
+      if (entry.stamp == stamp) {
         lru_.splice(lru_.begin(), lru_, found->second);  // move to MRU
         ++counters_.hits;
         return entry.resident;
@@ -59,9 +63,9 @@ Result<DatasetCache::Resident> DatasetCache::Acquire(
     }
   }
 
-  if (static_cast<std::int64_t>(file_size) > byte_budget_) {
+  if (static_cast<std::int64_t>(stamp.file_size) > byte_budget_) {
     return Status::FailedPrecondition(
-        key + ": file (" + std::to_string(file_size) +
+        key + ": file (" + std::to_string(stamp.file_size) +
         " bytes) exceeds the dataset residency budget (" +
         std::to_string(byte_budget_) + " bytes)");
   }
@@ -80,10 +84,7 @@ Result<DatasetCache::Resident> DatasetCache::Acquire(
     entry.resident.content_hash = HashBytes(
         mapped.data(), static_cast<std::size_t>(mapped.info().file_size));
   }
-  entry.mtime = mtime;
-  entry.file_size = file_size;
-  entry.inode = inode;
-  entry.device = device;
+  entry.stamp = stamp;
   const Resident resident = entry.resident;
 
   std::lock_guard<std::mutex> lock(mutex_);

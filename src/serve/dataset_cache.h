@@ -14,18 +14,15 @@
 // the key the summary cache (serve/summary_cache.h) files statistics
 // under, so it must describe exactly the bytes the mapping serves.
 //
-// Staleness: every Acquire hit re-stats the file; a changed size, mtime,
-// or inode/device pair forces a reopen, which re-hashes the bytes — that
-// new content hash is what flows into the summary cache and invalidates
-// stale statistics. The inode/device check catches mtime-preserving,
-// same-size rewrites (`rsync -t`, `cp -p`, tar extracts, atomic
-// temp+rename replacements), which always land on a fresh inode.
+// Staleness: every Acquire hit re-stats the file; a changed FileStamp
+// (below) forces a reopen, which re-hashes the bytes — that new content
+// hash is what flows into the summary cache and invalidates stale
+// statistics.
 
 #ifndef FGR_SERVE_DATASET_CACHE_H_
 #define FGR_SERVE_DATASET_CACHE_H_
 
 #include <cstdint>
-#include <filesystem>
 #include <list>
 #include <map>
 #include <memory>
@@ -38,6 +35,28 @@
 #include "util/status.h"
 
 namespace fgr {
+
+// The freshness key of a file on disk: anything derived from its bytes (a
+// mapping, a content hash, streamed statistics) stays valid only while the
+// stamp is unchanged. Size and mtime catch ordinary rewrites; the
+// inode/device pair catches mtime-preserving, same-size rewrites
+// (`rsync -t`, `cp -p`, tar extracts, atomic temp+rename replacements),
+// which always land the path on a fresh inode.
+struct FileStamp {
+  std::int64_t mtime_ns = 0;
+  std::uint64_t file_size = 0;
+  std::uint64_t inode = 0;
+  std::uint64_t device = 0;
+
+  // One stat(2) of `path`; NotFound when it fails.
+  static Result<FileStamp> Of(const std::string& path);
+
+  bool operator==(const FileStamp& other) const {
+    return mtime_ns == other.mtime_ns && file_size == other.file_size &&
+           inode == other.inode && device == other.device;
+  }
+  bool operator!=(const FileStamp& other) const { return !(*this == other); }
+};
 
 class DatasetCache {
  public:
@@ -77,10 +96,7 @@ class DatasetCache {
   struct Entry {
     std::string path;  // canonical
     Resident resident;
-    std::filesystem::file_time_type mtime;
-    std::uintmax_t file_size = 0;
-    std::uint64_t inode = 0;   // st_ino at open
-    std::uint64_t device = 0;  // st_dev at open
+    FileStamp stamp;  // at open
   };
 
   // Drops LRU entries until the budget holds (never drops the MRU entry).

@@ -134,19 +134,11 @@ FgrServer::FgrServer(ServerOptions options)
 FgrServer::~FgrServer() { Stop(); }
 
 Result<std::uint64_t> FgrServer::StreamingContentHash(
-    const std::string& path) {
-  std::error_code ec;
-  const std::filesystem::file_time_type mtime =
-      std::filesystem::last_write_time(path, ec);
-  if (ec) return Status::NotFound("cannot stat " + path);
-  const std::uintmax_t file_size = std::filesystem::file_size(path, ec);
-  if (ec) return Status::NotFound("cannot stat " + path);
+    const std::string& path, const FileStamp& stamp) {
   {
     std::lock_guard<std::mutex> lock(streamed_hash_mutex_);
     auto found = streamed_hashes_.find(path);
-    if (found != streamed_hashes_.end() &&
-        found->second.mtime == mtime &&
-        found->second.file_size == file_size) {
+    if (found != streamed_hashes_.end() && found->second.stamp == stamp) {
       return found->second.hash;
     }
   }
@@ -156,7 +148,7 @@ Result<std::uint64_t> FgrServer::StreamingContentHash(
   // Cheap bound for rotating dataset populations; a dropped entry only
   // costs one re-hash.
   if (streamed_hashes_.size() > 1024) streamed_hashes_.clear();
-  streamed_hashes_[path] = {mtime, file_size, hashed.value()};
+  streamed_hashes_[path] = {stamp, hashed.value()};
   return hashed.value();
 }
 
@@ -212,18 +204,14 @@ Status FgrServer::RunEstimate(const Request& request,
     // non-resident outcomes through PropagateLinBPStreaming).
     outcome->canonical_path = CanonicalPath(dataset);
     const std::string& path = outcome->canonical_path;
-    // The (mtime, size) the content hash is valid for; the compute
-    // callback re-stats after streaming so a file rewritten mid-pass can
-    // never be cached (or persisted) under the old hash.
-    std::error_code stat_ec;
-    const std::filesystem::file_time_type mtime_before =
-        std::filesystem::last_write_time(path, stat_ec);
-    if (stat_ec) return Status::NotFound("cannot stat " + path);
-    const std::uintmax_t size_before =
-        std::filesystem::file_size(path, stat_ec);
-    if (stat_ec) return Status::NotFound("cannot stat " + path);
+    // The stamp the content hash is valid for; the compute callback
+    // re-stats after streaming so a file rewritten mid-pass can never be
+    // cached (or persisted) under the old hash.
+    Result<FileStamp> stamped = FileStamp::Of(path);
+    if (!stamped.ok()) return stamped.status();
+    const FileStamp stamp = stamped.value();
 
-    Result<std::uint64_t> hashed = StreamingContentHash(path);
+    Result<std::uint64_t> hashed = StreamingContentHash(path, stamp);
     if (!hashed.ok()) return hashed.status();
     content_hash = hashed.value();
     Result<Labeling> seeds = ReadFgrBinLabels(path);
@@ -240,8 +228,8 @@ Status FgrServer::RunEstimate(const Request& request,
     // would not even run on.
     const Labeling* streaming_seeds = &outcome->streamed_seeds;
     const std::int64_t budget = options_.streaming_budget_bytes;
-    compute = [path, streaming_seeds, path_type, budget, mtime_before,
-               size_before](int max_length) -> Result<DatasetSummary> {
+    compute = [path, streaming_seeds, path_type, budget,
+               stamp](int max_length) -> Result<DatasetSummary> {
       BlockRowReaderOptions reader_options;
       reader_options.memory_budget_bytes = budget;
       Result<GraphStatistics> stats = ComputeGraphStatisticsStreaming(
@@ -250,9 +238,8 @@ Status FgrServer::RunEstimate(const Request& request,
       if (!stats.ok()) return stats.status();
       // Fail before anything is cached when the bytes changed under the
       // pass: the hash above would no longer describe these statistics.
-      std::error_code ec;
-      if (std::filesystem::last_write_time(path, ec) != mtime_before ||
-          ec || std::filesystem::file_size(path, ec) != size_before || ec) {
+      Result<FileStamp> after = FileStamp::Of(path);
+      if (!after.ok() || after.value() != stamp) {
         return Status::Internal(
             path + ": dataset changed while being summarized; retry");
       }

@@ -49,7 +49,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -172,10 +171,11 @@ class FgrServer {
     std::string response;
   };
 
-  // Content hash of a non-resident (streamed) dataset, cached on
-  // (mtime, size) so repeat queries skip the full-file re-read — the
-  // streamed analogue of the dataset cache's staleness check.
-  Result<std::uint64_t> StreamingContentHash(const std::string& path);
+  // Content hash of a non-resident (streamed) dataset whose file carries
+  // `stamp`, memoized on the stamp so repeat queries skip the full-file
+  // re-read — the streamed analogue of the dataset cache's staleness check.
+  Result<std::uint64_t> StreamingContentHash(const std::string& path,
+                                             const FileStamp& stamp);
 
   Status RunEstimate(const Request& request,
                      EstimateOutcome* outcome);
@@ -202,8 +202,7 @@ class FgrServer {
   SummaryCache summaries_;
 
   struct StreamedHash {
-    std::filesystem::file_time_type mtime;
-    std::uintmax_t file_size = 0;
+    FileStamp stamp;
     std::uint64_t hash = 0;
   };
   std::mutex streamed_hash_mutex_;

@@ -46,7 +46,7 @@ struct ShapeOptions {
 };
 
 // Random CSR panel with strictly ascending columns per row (the CsrPanelView
-// invariant the cursor-based transpose sweep relies on).
+// invariant).
 OwnedCsr RandomCsr(Index rows, Index cols, Index avg_row_nnz,
                    std::uint64_t seed, const ShapeOptions& options = {}) {
   Rng rng(seed);
@@ -124,24 +124,6 @@ std::vector<double> ReferenceSpmm(const OwnedCsr& csr, Index cols, Index k,
   return out;
 }
 
-std::vector<double> ReferenceSpmmT(const OwnedCsr& csr, Index cols, Index k,
-                                   const std::vector<double>& x) {
-  const Index rows = csr.rows();
-  const Index base = csr.row_ptr[0];
-  std::vector<double> out(static_cast<std::size_t>(cols * k), 0.0);
-  for (Index i = 0; i < rows; ++i) {
-    for (Index p = csr.row_ptr[i] - base; p < csr.row_ptr[i + 1] - base; ++p) {
-      const double v = csr.values[static_cast<std::size_t>(p)];
-      const Index c = csr.col_idx[static_cast<std::size_t>(p)];
-      for (Index j = 0; j < k; ++j) {
-        out[static_cast<std::size_t>(c * k + j)] +=
-            v * x[static_cast<std::size_t>(i * k + j)];
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<double> ReferenceSpmv(const OwnedCsr& csr,
                                   const std::vector<double>& x) {
   const Index rows = csr.rows();
@@ -163,30 +145,6 @@ std::vector<double> RunSpmm(const KernelTable& kt, const Csr& csr, Index rows,
                             Index x_stride) {
   std::vector<double> out(static_cast<std::size_t>(rows * k), -7.25);
   kt.spmm(csr, 0, rows, x.data(), x_stride, out.data(), k, k);
-  return out;
-}
-
-std::vector<double> RunSpmmTAdd(const KernelTable& kt, const OwnedCsr& owned,
-                                const Csr& csr, Index cols, Index k,
-                                const std::vector<double>& x, Index tile_cols) {
-  const Index rows = owned.rows();
-  const Index base = owned.row_ptr[0];
-  std::vector<Index> cursors(static_cast<std::size_t>(rows));
-  for (Index i = 0; i < rows; ++i) {
-    cursors[static_cast<std::size_t>(i)] = owned.row_ptr[i] - base;
-  }
-  std::vector<double> out(static_cast<std::size_t>(cols * k), 0.0);
-  for (Index c0 = 0; c0 < cols; c0 += tile_cols) {
-    const Index c1 = c0 + tile_cols < cols ? c0 + tile_cols : cols;
-    kt.spmm_t_add(csr, 0, rows, cursors.data(), x.data(), k,
-                  out.data() + c0 * k, k, k, c0, c1);
-  }
-  // Every entry must have been consumed by the ascending window sweep.
-  for (Index i = 0; i < rows; ++i) {
-    EXPECT_EQ(cursors[static_cast<std::size_t>(i)],
-              owned.row_ptr[i + 1] - base)
-        << "row " << i << " cursor did not reach its end";
-  }
   return out;
 }
 
@@ -244,47 +202,6 @@ TEST(KernelEquivalenceTest, SimdSpmmMatchesScalarWithinTolerance) {
   }
 }
 
-TEST(KernelEquivalenceTest, ScalarTransposeScatterMatchesReferenceExactly) {
-  for (const Shape& shape : FuzzShapes()) {
-    const OwnedCsr csr =
-        RandomCsr(shape.rows, shape.cols, shape.avg_row_nnz, 23, shape.options);
-    for (Index k : FuzzKs()) {
-      const std::vector<double> x =
-          RandomVector(static_cast<std::size_t>(shape.rows * k), 29 + k);
-      const std::vector<double> reference =
-          ReferenceSpmmT(csr, shape.cols, k, x);
-      // Full-width window == the historical direct scatter, bit for bit —
-      // and any ascending tiling must reproduce it exactly too, because
-      // per-output-row additions keep the same ascending source-row order.
-      for (Index tile : {shape.cols, Index{7}, Index{64}}) {
-        EXPECT_EQ(RunSpmmTAdd(KernelsFor(Isa::kScalar), csr, csr.View(),
-                              shape.cols, k, x, tile),
-                  reference)
-            << "k=" << k << " tile=" << tile;
-      }
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, SimdTransposeScatterMatchesScalarWithinTolerance) {
-  for (const Shape& shape : FuzzShapes()) {
-    const OwnedCsr csr =
-        RandomCsr(shape.rows, shape.cols, shape.avg_row_nnz, 31, shape.options);
-    for (Index k : FuzzKs()) {
-      const std::vector<double> x =
-          RandomVector(static_cast<std::size_t>(shape.rows * k), 37 + k);
-      const std::vector<double> reference = RunSpmmTAdd(
-          KernelsFor(Isa::kScalar), csr, csr.View(), shape.cols, k, x, 64);
-      for (Isa isa : AvailableIsas()) {
-        ExpectClose(reference,
-                    RunSpmmTAdd(KernelsFor(isa), csr, csr.View(), shape.cols,
-                                k, x, 64),
-                    "spmm_t_add", isa);
-      }
-    }
-  }
-}
-
 TEST(KernelEquivalenceTest, SpmvMatchesReferenceAcrossVariants) {
   for (const Shape& shape : FuzzShapes()) {
     const OwnedCsr csr =
@@ -336,18 +253,12 @@ TEST(KernelEquivalenceTest, UnitWeightsMatchAllOnesBitForBitPerVariant) {
     for (Index k : {Index{2}, Index{5}, Index{10}, Index{13}}) {
       const std::vector<double> x =
           RandomVector(static_cast<std::size_t>(shape.cols * k), 59 + k);
-      const std::vector<double> xt =
-          RandomVector(static_cast<std::size_t>(shape.rows * k), 61 + k);
       for (Isa isa : AvailableIsas()) {
         const KernelTable& kt = KernelsFor(isa);
         EXPECT_EQ(RunSpmm(kt, csr.View(/*unit_weights=*/true), shape.rows, k,
                           x, k),
                   RunSpmm(kt, csr.View(), shape.rows, k, x, k))
             << "spmm k=" << k << " via " << IsaName(isa);
-        EXPECT_EQ(RunSpmmTAdd(kt, csr, csr.View(/*unit_weights=*/true),
-                              shape.cols, k, xt, 64),
-                  RunSpmmTAdd(kt, csr, csr.View(), shape.cols, k, xt, 64))
-            << "spmm_t_add k=" << k << " via " << IsaName(isa);
       }
     }
     const std::vector<double> xv =

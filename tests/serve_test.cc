@@ -933,6 +933,50 @@ TEST(ServerTest, OverBudgetDatasetsStreamEstimatesAndLabels) {
   }
 }
 
+TEST(ServerTest, StreamedRouteSeesMtimePreservingSameSizeRewrite) {
+  namespace fs = std::filesystem;
+  SetNumThreads(1);
+  Fixture fixture = MakeFixture("serve_stream_inode", 37);
+  ServerOptions options;
+  options.dataset_budget_bytes = 1024;  // nothing fits: every query streams
+  options.persist_summaries = false;
+  FgrServer server(options);
+  const Json first =
+      MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << first.Dump();
+  EXPECT_FALSE(first.Find("resident")->bool_value());
+
+  // Same graph, other seeds: identical size, different bytes. Copy the
+  // original's mtime onto it and rename it over the original, so only the
+  // inode tells the two files apart. The streamed content-hash memo must
+  // notice, or the summary cache answers with the old file's statistics.
+  Rng rng(37);
+  auto planted = GeneratePlantedGraph(MakeSkewConfig(400, 8.0, 3, 3.0), rng);
+  ASSERT_TRUE(planted.ok());
+  LabeledGraph rewrite;
+  rewrite.name = "serve_stream_inode";
+  rewrite.graph = std::move(planted.value().graph);
+  Rng other_rng(9002);
+  rewrite.labels =
+      SampleStratifiedSeeds(planted.value().labels, 0.05, other_rng);
+  const std::string staged = TempPath("serve_stream_inode_staged.fgrbin");
+  ASSERT_TRUE(WriteFgrBin(rewrite, staged).ok());
+  ASSERT_EQ(fs::file_size(staged), fs::file_size(fixture.path));
+  fs::last_write_time(staged, fs::last_write_time(fixture.path));
+  fs::rename(staged, fixture.path);
+  const EstimationResult offline =
+      EstimateDce(rewrite.graph, rewrite.labels, TestDceOptions());
+
+  const Json second =
+      MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
+  SetNumThreads(0);
+  ASSERT_TRUE(second.Find("ok")->bool_value()) << second.Dump();
+  EXPECT_FALSE(second.Find("resident")->bool_value());
+  EXPECT_EQ(second.GetString("summary_source", ""), "computed");
+  EXPECT_NE(MatrixFrom(first, "h").data(), offline.h.data());
+  EXPECT_EQ(MatrixFrom(second, "h").data(), offline.h.data());
+}
+
 TEST(ServerTest, StatsAndDatasetsOpsReportCounters) {
   Fixture fixture = MakeFixture("serve_stats", 37);
   ServerOptions options;

@@ -361,35 +361,5 @@ TEST(SparseMatrixDeathTest, MultiplyVectorShapeChecks) {
   EXPECT_DEATH(m.MultiplyVector(wrong, &y), "shape mismatch");
 }
 
-TEST(SparseMatrixDeathTest, MultiplyTransposedShapeChecks) {
-  SparseMatrix m = MakeExample();
-  DenseMatrix wrong(m.rows() + 1, 2);
-  EXPECT_DEATH(m.MultiplyTransposed(wrong), "shape mismatch");
-}
-
-TEST(SparseMatrixTest, MultiplyTransposedMatchesMaterializedTranspose) {
-  SparseMatrix m = SparseMatrix::FromTriplets(
-      3, 4, {{0, 0, 1.0}, {0, 3, 2.0}, {1, 1, -3.0}, {2, 0, 4.0}, {2, 2, 0.5}});
-  DenseMatrix x(3, 2);
-  x(0, 0) = 1.0;
-  x(0, 1) = -1.0;
-  x(1, 0) = 2.0;
-  x(1, 1) = 0.5;
-  x(2, 0) = -3.0;
-  x(2, 1) = 2.0;
-  EXPECT_TRUE(
-      AllClose(m.MultiplyTransposed(x), m.Transpose().Multiply(x), 1e-12));
-}
-
-TEST(SparseMatrixTest, MultiplyTransposedReusesOutputBuffer) {
-  SparseMatrix m = MakeExample();
-  DenseMatrix x(m.rows(), 2);
-  x(0, 0) = 1.0;
-  DenseMatrix out(m.cols(), 2);
-  out(0, 0) = 99.0;  // stale content must be cleared
-  m.MultiplyTransposed(x, &out);
-  EXPECT_TRUE(AllClose(out, m.Transpose().Multiply(x), 1e-12));
-}
-
 }  // namespace
 }  // namespace fgr

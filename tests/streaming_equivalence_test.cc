@@ -176,25 +176,6 @@ TEST(CsrPanelViewTest, PanelwiseMultiplyIsBitIdenticalToFullSpmm) {
   }
 }
 
-TEST(CsrPanelViewTest, PanelwiseTransposedMultiplyMatchesFullKernel) {
-  ThreadGuard guard;
-  SetNumThreads(1);
-  const StreamFixture fixture = MakeStreamFixture(600, "panel_spmmt", true);
-  const SparseMatrix& w = fixture.graph.adjacency();
-  const DenseMatrix x = fixture.seeds.ToOneHot();
-  const DenseMatrix reference = w.MultiplyTransposed(x);
-
-  for (std::int64_t rows : PanelSweep(600)) {
-    DenseMatrix out(w.cols(), x.cols());
-    for (std::int64_t lo = 0; lo < w.rows(); lo += rows) {
-      const std::int64_t hi = std::min<std::int64_t>(lo + rows, w.rows());
-      w.PanelView(lo, hi).MultiplyTransposedAddInto(x, &out);
-    }
-    // Serial panels scatter in exactly the full kernel's order.
-    ASSERT_EQ(out.data(), reference.data()) << "panel rows " << rows;
-  }
-}
-
 // --- streamed statistics --------------------------------------------------
 
 TEST(StreamingEquivalenceTest, SerialStreamedStatisticsAreBitIdentical) {
