@@ -2,7 +2,8 @@
 // SpMM (the inner step of propagation and summarization), CSR assembly,
 // the full factorized summarization, spectral radius, one LinBP run, the
 // DCE objective/gradient evaluation (the graph-size-independent inner loop
-// of the optimization step), and the numeric gradient.
+// of the optimization step), a warm DCEr estimate over cached statistics,
+// and the numeric gradient.
 //
 // Kernels that ride the parallel backend take a trailing thread-count
 // argument (benchmark name suffix `/threads:N` reads as the last `/N`);
@@ -253,8 +254,15 @@ BENCHMARK(BM_LinBpPropagation)
     ->ArgsProduct({{10000, 100000}, {1, 2, 4, 8}})
     ->ArgNames({"n", "threads"});
 
-void BM_DceObjectiveValue(benchmark::State& state) {
-  const auto k = state.range(0);
+// P̂(ℓ) = Hℓ for ℓ = 1..5 of the skew matrix, and two parameter points
+// near it: the DCE benches alternate between them so the workspace's memo
+// never hits and each evaluation computes its powers from scratch.
+struct DceBenchInputs {
+  DceObjective objective;
+  std::vector<double> points[2];
+};
+
+DceBenchInputs MakeDceBenchInputs(std::int64_t k) {
   const DenseMatrix h = MakeSkewCompatibility(k, 3.0);
   std::vector<DenseMatrix> p_hat;
   DenseMatrix power = h;
@@ -262,50 +270,79 @@ void BM_DceObjectiveValue(benchmark::State& state) {
     if (l > 1) power = power.Multiply(h);
     p_hat.push_back(power);
   }
-  const DceObjective objective =
-      DceObjective::WithGeometricWeights(p_hat, 10.0);
-  const std::vector<double> params = ParametersFromCompatibility(h);
+  DceBenchInputs inputs{DceObjective::WithGeometricWeights(p_hat, 10.0), {}};
+  inputs.points[0] = ParametersFromCompatibility(h);
+  inputs.points[1] = inputs.points[0];
+  for (double& v : inputs.points[1]) v += 1e-3;
+  return inputs;
+}
+
+void BM_DceObjectiveValue(benchmark::State& state) {
+  const DceBenchInputs inputs = MakeDceBenchInputs(state.range(0));
+  DceObjective::Workspace workspace(inputs.objective);
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(objective.Value(params));
+    benchmark::DoNotOptimize(
+        inputs.objective.Evaluate(inputs.points[next], &workspace, nullptr));
+    next ^= 1;
   }
 }
 BENCHMARK(BM_DceObjectiveValue)->Arg(3)->Arg(7);
 
+// The one evaluation body with the gradient: energy, all 2ℓmax−1 powers
+// and the Prop. 4.7 entry gradient, through a reused workspace.
 void BM_DceObjectiveGradient(benchmark::State& state) {
-  const auto k = state.range(0);
-  const DenseMatrix h = MakeSkewCompatibility(k, 3.0);
-  std::vector<DenseMatrix> p_hat;
-  DenseMatrix power = h;
-  for (int l = 1; l <= 5; ++l) {
-    if (l > 1) power = power.Multiply(h);
-    p_hat.push_back(power);
-  }
-  const DceObjective objective =
-      DceObjective::WithGeometricWeights(p_hat, 10.0);
-  const std::vector<double> params = ParametersFromCompatibility(h);
+  const DceBenchInputs inputs = MakeDceBenchInputs(state.range(0));
+  DceObjective::Workspace workspace(inputs.objective);
   std::vector<double> gradient;
+  std::size_t next = 0;
   for (auto _ : state) {
-    objective.Gradient(params, &gradient);
+    benchmark::DoNotOptimize(
+        inputs.objective.Evaluate(inputs.points[next], &workspace, &gradient));
     benchmark::DoNotOptimize(gradient.data());
+    next ^= 1;
   }
 }
 BENCHMARK(BM_DceObjectiveGradient)->Arg(3)->Arg(7);
 
-void BM_NumericGradient(benchmark::State& state) {
-  const auto k = state.range(0);
-  SetNumThreads(static_cast<int>(state.range(1)));
-  const DenseMatrix h = MakeSkewCompatibility(k, 3.0);
-  std::vector<DenseMatrix> p_hat;
-  DenseMatrix power = h;
-  for (int l = 1; l <= 5; ++l) {
-    if (l > 1) power = power.Multiply(h);
-    p_hat.push_back(power);
+// A warm estimate: the DCEr restarts over cached statistics (a planted
+// graph with 2% seeds), all a warm served estimate computes.
+void BM_DceWarmEstimate(benchmark::State& state) {
+  const std::int64_t k = state.range(0);
+  static auto& cache = *new std::map<std::int64_t, GraphStatistics>();
+  auto it = cache.find(k);
+  if (it == cache.end()) {
+    Rng rng(static_cast<std::uint64_t>(k));
+    auto planted =
+        GeneratePlantedGraph(MakeSkewConfig(20000, 20.0, k, 3.0), rng);
+    FGR_CHECK(planted.ok());
+    const Labeling seeds =
+        SampleStratifiedSeeds(planted.value().labels, 0.02, rng);
+    it = cache.emplace(k, ComputeGraphStatistics(planted.value().graph,
+                                                 seeds, 5)).first;
   }
-  const DceObjective objective =
-      DceObjective::WithGeometricWeights(p_hat, 10.0);
-  const std::vector<double> params = ParametersFromCompatibility(h);
+  DceOptions options;
+  options.max_path_length = 5;
+  options.restarts = static_cast<int>(state.range(1));
+  SetNumThreads(static_cast<int>(state.range(2)));
   for (auto _ : state) {
-    const std::vector<double> gradient = NumericGradient(objective, params);
+    const EstimationResult result =
+        EstimateDceFromStatistics(it->second, k, options);
+    benchmark::DoNotOptimize(result.h(0, 0));
+  }
+  SetNumThreads(0);
+}
+BENCHMARK(BM_DceWarmEstimate)
+    ->ArgsProduct({{3, 5, 7}, {1, 10}, {1, 4}})
+    ->ArgNames({"k", "restarts", "threads"})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_NumericGradient(benchmark::State& state) {
+  SetNumThreads(static_cast<int>(state.range(1)));
+  const DceBenchInputs inputs = MakeDceBenchInputs(state.range(0));
+  for (auto _ : state) {
+    const std::vector<double> gradient =
+        NumericGradient(inputs.objective, inputs.points[0]);
     benchmark::DoNotOptimize(gradient.data());
   }
   SetNumThreads(0);

@@ -13,12 +13,20 @@ std::int64_t NumFreeParameters(std::int64_t k) {
 
 DenseMatrix CompatibilityFromParameters(const std::vector<double>& params,
                                         std::int64_t k) {
+  DenseMatrix h;
+  CompatibilityFromParameters(params, k, &h);
+  return h;
+}
+
+void CompatibilityFromParameters(const std::vector<double>& params,
+                                 std::int64_t k, DenseMatrix* out) {
   FGR_CHECK_EQ(static_cast<std::int64_t>(params.size()),
                NumFreeParameters(k));
-  DenseMatrix h(k, k);
+  if (out->rows() != k || out->cols() != k) *out = DenseMatrix(k, k);
+  DenseMatrix& h = *out;
   if (k == 1) {
     h(0, 0) = 1.0;
-    return h;
+    return;
   }
   // Free block: rows/cols 0..k-2, stored row-wise over the lower triangle.
   std::size_t index = 0;
@@ -40,7 +48,6 @@ DenseMatrix CompatibilityFromParameters(const std::vector<double>& params,
     corner -= h(k - 1, i);
   }
   h(k - 1, k - 1) = corner;
-  return h;
 }
 
 std::vector<double> ParametersFromCompatibility(const DenseMatrix& h) {
@@ -58,26 +65,31 @@ std::vector<double> ParametersFromCompatibility(const DenseMatrix& h) {
 
 std::vector<double> ProjectGradientToParameters(
     const DenseMatrix& entry_gradient) {
+  std::vector<double> projected;
+  ProjectGradientToParameters(entry_gradient, &projected);
+  return projected;
+}
+
+void ProjectGradientToParameters(const DenseMatrix& entry_gradient,
+                                 std::vector<double>* projected) {
   FGR_CHECK_EQ(entry_gradient.rows(), entry_gradient.cols());
   const std::int64_t k = entry_gradient.rows();
   const DenseMatrix& g = entry_gradient;
-  std::vector<double> projected;
-  projected.reserve(static_cast<std::size_t>(NumFreeParameters(k)));
+  projected->resize(static_cast<std::size_t>(NumFreeParameters(k)));
+  double* out = projected->data();
   const std::int64_t last = k - 1;
   for (std::int64_t i = 0; i + 1 < k; ++i) {
     for (std::int64_t j = 0; j <= i; ++j) {
       if (i == j) {
         // S_ii: +1 at (i,i), -1 at (i,last) and (last,i), +1 at (last,last).
-        projected.push_back(g(i, i) - g(i, last) - g(last, i) +
-                            g(last, last));
+        *out++ = g(i, i) - g(i, last) - g(last, i) + g(last, last);
       } else {
         // S_ij (i≠j): ±1 pattern over the 2×2 blocks it perturbs.
-        projected.push_back(g(i, j) + g(j, i) - g(i, last) - g(last, j) -
-                            g(j, last) - g(last, i) + 2.0 * g(last, last));
+        *out++ = g(i, j) + g(j, i) - g(i, last) - g(last, j) - g(j, last) -
+                 g(last, i) + 2.0 * g(last, last);
       }
     }
   }
-  return projected;
 }
 
 bool IsSymmetric(const DenseMatrix& h, double tol) {

@@ -27,6 +27,10 @@ std::int64_t NumFreeParameters(std::int64_t k);
 // clamped to [0, 1] (optimizers may pass through infeasible iterates).
 DenseMatrix CompatibilityFromParameters(const std::vector<double>& params,
                                         std::int64_t k);
+// The same reconstruction written into *h, allocation-free when *h is
+// already k×k (every entry is overwritten).
+void CompatibilityFromParameters(const std::vector<double>& params,
+                                 std::int64_t k, DenseMatrix* h);
 
 // Extracts the free parameters from a symmetric matrix (inverse of the
 // reconstruction for feasible H).
@@ -36,6 +40,10 @@ std::vector<double> ParametersFromCompatibility(const DenseMatrix& h);
 // the structure matrices S of Prop. 4.7:
 //   ∂E/∂h_{(i,j)} = ΣS_{ij}∘G. Returns a vector of length k*.
 std::vector<double> ProjectGradientToParameters(const DenseMatrix& entry_gradient);
+// The same projection written into *projected (resized to k*), so a caller
+// that reuses the vector allocates nothing.
+void ProjectGradientToParameters(const DenseMatrix& entry_gradient,
+                                 std::vector<double>* projected);
 
 // True when H is symmetric within `tol`.
 bool IsSymmetric(const DenseMatrix& h, double tol = 1e-9);

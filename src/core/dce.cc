@@ -1,6 +1,9 @@
 #include "core/dce.h"
 
+#include <algorithm>
 #include <cmath>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "core/compatibility.h"
@@ -34,48 +37,89 @@ DceObjective DceObjective::WithGeometricWeights(std::vector<DenseMatrix> p_hat,
   return DceObjective(std::move(p_hat), std::move(weights));
 }
 
-double DceObjective::Value(const std::vector<double>& params) const {
-  const DenseMatrix h = CompatibilityFromParameters(params, k_);
-  double energy = 0.0;
-  DenseMatrix h_power = h;  // Hℓ, starting at ℓ = 1
-  for (std::size_t l = 0; l < p_hat_.size(); ++l) {
-    if (l > 0) h_power = h_power.Multiply(h);
-    const double distance = FrobeniusDistance(h_power, p_hat_[l]);
-    energy += weights_[l] * distance * distance;
-  }
-  return energy;
+DceObjective::Workspace::Workspace(const DceObjective& objective) {
+  const std::int64_t k = objective.k();
+  params_.resize(static_cast<std::size_t>(NumFreeParameters(k)));
+  const auto num_powers =
+      static_cast<std::size_t>(2 * objective.max_path_length());
+  powers_.reserve(num_powers);
+  powers_.push_back(DenseMatrix::Identity(k));
+  while (powers_.size() < num_powers) powers_.emplace_back(k, k);
+  entry_gradient_ = DenseMatrix(k, k);
+  product_ = DenseMatrix(k, k);
+  term_ = DenseMatrix(k, k);
 }
 
-void DceObjective::Gradient(const std::vector<double>& params,
-                            std::vector<double>* gradient) const {
-  FGR_CHECK(gradient != nullptr);
-  const DenseMatrix h = CompatibilityFromParameters(params, k_);
+double DceObjective::Evaluate(const std::vector<double>& params,
+                              Workspace* workspace,
+                              std::vector<double>* gradient) const {
+  FGR_CHECK(workspace != nullptr);
+  Workspace& ws = *workspace;
+  FGR_CHECK_EQ(ws.powers_.size(), 2 * p_hat_.size());
+  FGR_CHECK_EQ(params.size(), ws.params_.size());
+  std::vector<DenseMatrix>& powers = ws.powers_;
   const int lmax = max_path_length();
 
-  // Powers H^0 .. H^(2·ℓmax − 1); H^0 = I.
-  std::vector<DenseMatrix> powers;
-  powers.reserve(static_cast<std::size_t>(2 * lmax));
-  powers.push_back(DenseMatrix::Identity(k_));
-  for (int p = 1; p <= 2 * lmax - 1; ++p) {
-    powers.push_back(powers.back().Multiply(h));
+  // H and its powers: H^1..H^ℓmax for the energy, up to H^(2ℓmax−1) for the
+  // gradient. The memo compares bits, so a reused power is exactly the one
+  // a fresh evaluation would compute.
+  const bool same_params =
+      ws.have_params_ &&
+      std::equal(params.begin(), params.end(), ws.params_.begin(),
+                 [](double a, double b) {
+                   return std::bit_cast<std::uint64_t>(a) ==
+                          std::bit_cast<std::uint64_t>(b);
+                 });
+  if (!same_params) {
+    std::copy(params.begin(), params.end(), ws.params_.begin());
+    ws.have_params_ = true;
+    CompatibilityFromParameters(params, k_, &powers[1]);
+    ws.num_powers_ = 2;
   }
+  const int needed = gradient != nullptr ? 2 * lmax : lmax + 1;
+  for (int p = ws.num_powers_; p < needed; ++p) {
+    powers[static_cast<std::size_t>(p - 1)].MultiplyInto(
+        powers[1], &powers[static_cast<std::size_t>(p)]);
+  }
+  ws.num_powers_ = std::max(ws.num_powers_, needed);
+
+  double energy = 0.0;
+  for (std::size_t l = 0; l < p_hat_.size(); ++l) {
+    const double distance = FrobeniusDistance(powers[l + 1], p_hat_[l]);
+    energy += weights_[l] * distance * distance;
+  }
+  if (gradient == nullptr) return energy;
 
   // Entrywise gradient (Prop. 4.7):
   //   G = Σℓ 2wℓ ( ℓ·H^(2ℓ−1) − Σ_{r=0}^{ℓ−1} H^r P̂(ℓ) H^(ℓ−1−r) ).
-  DenseMatrix g(k_, k_);
+  DenseMatrix& g = ws.entry_gradient_;
+  g.SetZero();
   for (int l = 1; l <= lmax; ++l) {
     const double w = 2.0 * weights_[static_cast<std::size_t>(l - 1)];
     g.AddScaled(powers[static_cast<std::size_t>(2 * l - 1)],
                 w * static_cast<double>(l));
     const DenseMatrix& z = p_hat_[static_cast<std::size_t>(l - 1)];
     for (int r = 0; r <= l - 1; ++r) {
-      const DenseMatrix term =
-          powers[static_cast<std::size_t>(r)].Multiply(z).Multiply(
-              powers[static_cast<std::size_t>(l - 1 - r)]);
-      g.AddScaled(term, -w);
+      powers[static_cast<std::size_t>(r)].MultiplyInto(z, &ws.product_);
+      ws.product_.MultiplyInto(powers[static_cast<std::size_t>(l - 1 - r)],
+                               &ws.term_);
+      g.AddScaled(ws.term_, -w);
     }
   }
-  *gradient = ProjectGradientToParameters(g);
+  ProjectGradientToParameters(g, gradient);
+  return energy;
+}
+
+double DceObjective::Value(const std::vector<double>& params) const {
+  Workspace workspace(*this);
+  return Evaluate(params, &workspace, nullptr);
+}
+
+void DceObjective::Gradient(const std::vector<double>& params,
+                            std::vector<double>* gradient) const {
+  FGR_CHECK(gradient != nullptr);
+  Workspace workspace(*this);
+  Evaluate(params, &workspace, gradient);
 }
 
 std::vector<std::vector<double>> MakeRestartPoints(std::int64_t k, int count,
@@ -146,12 +190,15 @@ EstimationResult EstimateDceFromStatistics(const GraphStatistics& stats,
   // Restarts are independent L-BFGS runs; each run is identical to its
   // serial counterpart, and the winner is selected by scanning runs in start
   // order with a strict '<', so the result does not depend on thread count.
+  // Each run evaluates through its own workspace, allocated once here.
   std::vector<OptimizeResult> runs(starts.size());
   ParallelFor(
       0, static_cast<std::int64_t>(starts.size()),
       [&](std::int64_t s) {
+        DceObjective::Workspace workspace(objective);
         runs[static_cast<std::size_t>(s)] = MinimizeLbfgs(
-            objective, starts[static_cast<std::size_t>(s)], options.optimizer);
+            DceWorkspaceObjective(objective, &workspace),
+            std::move(starts[static_cast<std::size_t>(s)]), options.optimizer);
       },
       /*grain=*/1);
 

@@ -25,6 +25,7 @@
 #include "graph/labels.h"
 #include "opt/lbfgs.h"
 #include "opt/objective.h"
+#include "util/check.h"
 
 namespace fgr {
 
@@ -51,6 +52,25 @@ struct DceOptions {
 // it to alternative optimizers.
 class DceObjective : public DifferentiableObjective {
  public:
+  // Caller-owned scratch for Evaluate, sized once for one objective: H, its
+  // powers H⁰…H^(2ℓmax−1), the k×k gradient accumulators, and the params
+  // the held powers were computed at. Not thread-safe: one per concurrent
+  // evaluation stream (DCEr gives each restart its own).
+  class Workspace {
+   public:
+    explicit Workspace(const DceObjective& objective);
+
+   private:
+    friend class DceObjective;
+    std::vector<double> params_;       // where powers_ were computed
+    bool have_params_ = false;
+    int num_powers_ = 1;               // powers_[0, num_powers_) are current
+    std::vector<DenseMatrix> powers_;  // powers_[p] = Hᵖ; [0] = I, [1] = H
+    DenseMatrix entry_gradient_;       // G = ∂E/∂H
+    DenseMatrix product_;              // scratch products
+    DenseMatrix term_;
+  };
+
   // p_hat[ℓ-1] = P̂(ℓ); weights[ℓ-1] = wℓ. All matrices must be k×k.
   DceObjective(std::vector<DenseMatrix> p_hat, std::vector<double> weights);
 
@@ -58,6 +78,16 @@ class DceObjective : public DifferentiableObjective {
   static DceObjective WithGeometricWeights(std::vector<DenseMatrix> p_hat,
                                            double lambda);
 
+  // The one evaluation body: returns E(params) and, when `gradient` is
+  // non-null, writes ∂E/∂h (length k*) into it. It allocates nothing once
+  // `gradient` has held k* values. Powers `workspace` already holds for the
+  // same params are reused, so the Gradient that L-BFGS asks for at the
+  // point of its last Value computes only H^(ℓmax+1)…H^(2ℓmax−1) anew.
+  double Evaluate(const std::vector<double>& params, Workspace* workspace,
+                  std::vector<double>* gradient) const;
+
+  // Thin wrappers over Evaluate with a fresh Workspace per call (they
+  // allocate; optimizer loops use DceWorkspaceObjective instead).
   double Value(const std::vector<double>& params) const override;
   void Gradient(const std::vector<double>& params,
                 std::vector<double>* gradient) const override;
@@ -69,6 +99,29 @@ class DceObjective : public DifferentiableObjective {
   std::vector<DenseMatrix> p_hat_;
   std::vector<double> weights_;
   std::int64_t k_;
+};
+
+// A DceObjective evaluated through one caller-owned Workspace: what each
+// L-BFGS run minimizes, so a run allocates only when it starts. Value and
+// Gradient forward to Evaluate. Not thread-safe: one per concurrent run.
+class DceWorkspaceObjective final : public DifferentiableObjective {
+ public:
+  DceWorkspaceObjective(const DceObjective& objective,
+                        DceObjective::Workspace* workspace)
+      : objective_(objective), workspace_(workspace) {}
+
+  double Value(const std::vector<double>& params) const override {
+    return objective_.Evaluate(params, workspace_, nullptr);
+  }
+  void Gradient(const std::vector<double>& params,
+                std::vector<double>* gradient) const override {
+    FGR_CHECK(gradient != nullptr);
+    objective_.Evaluate(params, workspace_, gradient);
+  }
+
+ private:
+  const DceObjective& objective_;
+  DceObjective::Workspace* workspace_;
 };
 
 // End-to-end DCE/DCEr: summarize the graph, then optimize on the sketches.

@@ -1,5 +1,6 @@
 #include "fgr/estimate.h"
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -98,6 +99,24 @@ Status OpenDataset(const DatasetRef& dataset, const EstimateOptions& options,
   return Status::Ok();
 }
 
+// DCE knobs the optimizer would otherwise abort on, rejected before any
+// route opens its dataset.
+Status ValidateDceOptions(const DceOptions& options) {
+  if (options.restarts < 1) {
+    return Status::InvalidArgument("DCE restarts must be at least 1");
+  }
+  if (options.max_path_length < 1) {
+    return Status::InvalidArgument("DCE max_path_length must be at least 1");
+  }
+  if (!(std::isfinite(options.lambda) && options.lambda > 0.0)) {
+    return Status::InvalidArgument("DCE lambda must be positive and finite");
+  }
+  if (options.optimizer.history < 1) {
+    return Status::InvalidArgument("L-BFGS history must be at least 1");
+  }
+  return Status::Ok();
+}
+
 // The estimate body every route runs: the ℓ passes, then the k×k DCE.
 Result<EstimationResult> EstimateOpened(OpenedDataset& opened,
                                         const DceOptions& options) {
@@ -113,6 +132,7 @@ Result<EstimationResult> EstimateOpened(OpenedDataset& opened,
 
 Result<EstimationResult> Estimate(const DatasetRef& dataset,
                                   const EstimateOptions& options) {
+  FGR_RETURN_IF_ERROR(ValidateDceOptions(options.dce));
   OpenedDataset opened;
   FGR_RETURN_IF_ERROR(OpenDataset(dataset, options, &opened));
   return EstimateOpened(opened, options.dce);
@@ -124,6 +144,7 @@ Result<LabelResult> Label(const DatasetRef& dataset,
     return Status::InvalidArgument(
         "LinBP iterations and convergence_scale must be positive");
   }
+  FGR_RETURN_IF_ERROR(ValidateDceOptions(options.estimate.dce));
   OpenedDataset opened;
   FGR_RETURN_IF_ERROR(OpenDataset(dataset, options.estimate, &opened));
   Result<EstimationResult> estimate =

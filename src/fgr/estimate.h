@@ -69,7 +69,9 @@ struct EstimateOptions {
 };
 
 // Opens the dataset's panel source and runs the estimate body over it. A
-// malformed ref, or seeds whose node count differs from the graph's, is
+// malformed ref, seeds whose node count differs from the graph's, or DCE
+// options the optimizer cannot run (restarts or max_path_length below 1, a
+// lambda that is not positive and finite, optimizer.history below 1) is
 // InvalidArgument on every route; path routes also surface I/O and
 // validation errors.
 Result<EstimationResult> Estimate(const DatasetRef& dataset,
@@ -81,7 +83,8 @@ Result<EstimationResult> Estimate(const DatasetRef& dataset,
 // mapped cache, or the streamed cache, in which case only the n×k belief
 // state is ever resident. Labels are bit-identical across the three
 // sources at one thread. Non-positive linbp.iterations or
-// convergence_scale is InvalidArgument.
+// convergence_scale, and the DCE options Estimate rejects, are
+// InvalidArgument.
 struct LabelOptions {
   EstimateOptions estimate;
   LinBpOptions linbp;

@@ -109,13 +109,25 @@ DenseMatrix DenseMatrix::Transpose() const {
 }
 
 DenseMatrix DenseMatrix::Multiply(const DenseMatrix& other) const {
+  DenseMatrix result;
+  MultiplyInto(other, &result);
+  return result;
+}
+
+void DenseMatrix::MultiplyInto(const DenseMatrix& other,
+                               DenseMatrix* out) const {
   FGR_CHECK_EQ(cols_, other.rows_)
       << "dense multiply shape mismatch: " << rows_ << "x" << cols_ << " * "
       << other.rows_ << "x" << other.cols_;
-  DenseMatrix result(rows_, other.cols_);
+  FGR_CHECK(out != this && out != &other) << "MultiplyInto output aliases";
+  if (out->rows_ == rows_ && out->cols_ == other.cols_) {
+    out->SetZero();
+  } else {
+    *out = DenseMatrix(rows_, other.cols_);
+  }
   // i-k-j loop order keeps the inner loop contiguous in both inputs.
   for (Index i = 0; i < rows_; ++i) {
-    double* out_row = result.RowPtr(i);
+    double* out_row = out->RowPtr(i);
     const double* a_row = RowPtr(i);
     for (Index k = 0; k < cols_; ++k) {
       const double a = a_row[k];
@@ -124,7 +136,6 @@ DenseMatrix DenseMatrix::Multiply(const DenseMatrix& other) const {
       for (Index j = 0; j < other.cols_; ++j) out_row[j] += a * b_row[j];
     }
   }
-  return result;
 }
 
 DenseMatrix DenseMatrix::Power(int p) const {

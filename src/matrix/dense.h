@@ -110,6 +110,11 @@ class DenseMatrix {
   // Dense matrix product this(r×c) * other(c×p). Intended for small (k-sized)
   // matrices; n-scale products go through SparseMatrix.
   DenseMatrix Multiply(const DenseMatrix& other) const;
+  // The same product written into *out, bit-identical to Multiply(). It
+  // allocates nothing when *out is already r×p (it is reshaped otherwise),
+  // which is what the DCE objective's workspace relies on. `out` must not
+  // alias either operand.
+  void MultiplyInto(const DenseMatrix& other, DenseMatrix* out) const;
 
   // this^p for a square matrix; p >= 0 (p == 0 gives identity).
   DenseMatrix Power(int p) const;

@@ -2,17 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "util/check.h"
 
 namespace fgr {
 namespace {
 
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
+double Dot(const double* a, const double* b, std::size_t n) {
   double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
+  for (std::size_t i = 0; i < n; ++i) sum += a[i] * b[i];
   return sum;
+}
+
+double Dot(const std::vector<double>& a, const std::vector<double>& b) {
+  return Dot(a.data(), b.data(), a.size());
 }
 
 double MaxAbs(const std::vector<double>& v) {
@@ -26,6 +29,7 @@ double MaxAbs(const std::vector<double>& v) {
 OptimizeResult MinimizeLbfgs(const DifferentiableObjective& objective,
                              std::vector<double> x0,
                              const LbfgsOptions& options) {
+  FGR_CHECK_GE(options.history, 1) << "L-BFGS needs at least one (s, y) pair";
   const std::size_t n = x0.size();
   OptimizeResult result;
   result.x = std::move(x0);
@@ -36,19 +40,37 @@ OptimizeResult MinimizeLbfgs(const DifferentiableObjective& objective,
     return result;
   }
 
-  std::vector<double> gradient;
+  std::vector<double> gradient(n);
   objective.Gradient(result.x, &gradient);
   FGR_CHECK_EQ(gradient.size(), n);
 
-  // (s, y) history for the two-loop recursion.
-  std::deque<std::vector<double>> s_history;
-  std::deque<std::vector<double>> y_history;
-  std::deque<double> rho_history;
+  // (s, y) history for the two-loop recursion: a ring of `slots` pairs
+  // allocated once (a run never stores more pairs than it has iterations),
+  // so iterations allocate nothing. Pair i, counted from the oldest, lives
+  // at slot (oldest + i) % slots.
+  const auto slots = static_cast<std::size_t>(
+      std::max(1, std::min(options.history, options.max_iterations)));
+  std::vector<double> s_history(slots * n);
+  std::vector<double> y_history(slots * n);
+  std::vector<double> rho_history(slots);
+  std::size_t oldest = 0;
+  std::size_t stored = 0;
+  const auto s_at = [&](std::size_t i) {
+    return s_history.data() + (oldest + i) % slots * n;
+  };
+  const auto y_at = [&](std::size_t i) {
+    return y_history.data() + (oldest + i) % slots * n;
+  };
+  const auto rho_at = [&](std::size_t i) -> double& {
+    return rho_history[(oldest + i) % slots];
+  };
 
   std::vector<double> direction(n);
   std::vector<double> x_next(n);
-  std::vector<double> gradient_next;
-  std::vector<double> alpha(static_cast<std::size_t>(options.history));
+  std::vector<double> gradient_next(n);
+  std::vector<double> s(n);
+  std::vector<double> y(n);
+  std::vector<double> alpha(slots);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -59,29 +81,24 @@ OptimizeResult MinimizeLbfgs(const DifferentiableObjective& objective,
 
     // Two-loop recursion: direction = -H_k * gradient.
     direction = gradient;
-    const int hist = static_cast<int>(s_history.size());
-    for (int i = hist - 1; i >= 0; --i) {
-      alpha[static_cast<std::size_t>(i)] =
-          rho_history[static_cast<std::size_t>(i)] *
-          Dot(s_history[static_cast<std::size_t>(i)], direction);
-      const auto& y = y_history[static_cast<std::size_t>(i)];
-      for (std::size_t j = 0; j < n; ++j) {
-        direction[j] -= alpha[static_cast<std::size_t>(i)] * y[j];
-      }
+    for (std::size_t i = stored; i-- > 0;) {
+      alpha[i] = rho_at(i) * Dot(s_at(i), direction.data(), n);
+      const double* y_i = y_at(i);
+      for (std::size_t j = 0; j < n; ++j) direction[j] -= alpha[i] * y_i[j];
     }
-    if (hist > 0) {
+    if (stored > 0) {
       // Initial Hessian scaling gamma = sᵀy / yᵀy.
-      const auto& s = s_history.back();
-      const auto& y = y_history.back();
-      const double gamma = Dot(s, y) / std::max(Dot(y, y), 1e-300);
+      const double* s_new = s_at(stored - 1);
+      const double* y_new = y_at(stored - 1);
+      const double gamma =
+          Dot(s_new, y_new, n) / std::max(Dot(y_new, y_new, n), 1e-300);
       for (double& d : direction) d *= gamma;
     }
-    for (int i = 0; i < hist; ++i) {
-      const double beta = rho_history[static_cast<std::size_t>(i)] *
-                          Dot(y_history[static_cast<std::size_t>(i)], direction);
-      const auto& s = s_history[static_cast<std::size_t>(i)];
+    for (std::size_t i = 0; i < stored; ++i) {
+      const double beta = rho_at(i) * Dot(y_at(i), direction.data(), n);
+      const double* s_i = s_at(i);
       for (std::size_t j = 0; j < n; ++j) {
-        direction[j] += (alpha[static_cast<std::size_t>(i)] - beta) * s[j];
+        direction[j] += (alpha[i] - beta) * s_i[j];
       }
     }
     for (double& d : direction) d = -d;
@@ -140,23 +157,22 @@ OptimizeResult MinimizeLbfgs(const DifferentiableObjective& objective,
       }
     }
 
-    // Curvature update.
-    std::vector<double> s(n);
-    std::vector<double> y(n);
+    // Curvature update: the new pair takes a free slot, or the oldest
+    // pair's once the ring is full.
     for (std::size_t j = 0; j < n; ++j) {
       s[j] = x_next[j] - result.x[j];
       y[j] = gradient_next[j] - gradient[j];
     }
     const double sy = Dot(s, y);
     if (sy > 1e-12) {
-      if (static_cast<int>(s_history.size()) == options.history) {
-        s_history.pop_front();
-        y_history.pop_front();
-        rho_history.pop_front();
+      if (stored == slots) {
+        oldest = (oldest + 1) % slots;
+        --stored;
       }
-      rho_history.push_back(1.0 / sy);
-      s_history.push_back(std::move(s));
-      y_history.push_back(std::move(y));
+      std::copy(s.begin(), s.end(), s_at(stored));
+      std::copy(y.begin(), y.end(), y_at(stored));
+      rho_at(stored) = 1.0 / sy;
+      ++stored;
     }
 
     const double improvement = result.value - value_next;

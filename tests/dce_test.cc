@@ -51,14 +51,37 @@ TEST(DceObjectiveTest, GeometricWeightsScaleTerms) {
   EXPECT_NEAR(obj10.Value(params), 10.0 * obj1.Value(params), 1e-12);
 }
 
-class DceGradientSweep
-    : public testing::TestWithParam<std::tuple<int, int>> {};
+// The Prop. 4.7 gradient as the double loop over ℓ and r, one fresh
+// product per term: the reference the objective's one evaluation body must
+// reproduce.
+std::vector<double> ReferenceGradient(const std::vector<DenseMatrix>& p_hat,
+                                      const std::vector<double>& weights,
+                                      const std::vector<double>& params) {
+  const std::int64_t k = p_hat.front().rows();
+  const int lmax = static_cast<int>(p_hat.size());
+  const DenseMatrix h = CompatibilityFromParameters(params, k);
+  std::vector<DenseMatrix> powers{DenseMatrix::Identity(k)};
+  for (int p = 1; p <= 2 * lmax - 1; ++p) {
+    powers.push_back(powers.back().Multiply(h));
+  }
+  DenseMatrix g(k, k);
+  for (int l = 1; l <= lmax; ++l) {
+    const double w = 2.0 * weights[static_cast<std::size_t>(l - 1)];
+    g.AddScaled(powers[static_cast<std::size_t>(2 * l - 1)],
+                w * static_cast<double>(l));
+    const DenseMatrix& z = p_hat[static_cast<std::size_t>(l - 1)];
+    for (int r = 0; r <= l - 1; ++r) {
+      const DenseMatrix term =
+          powers[static_cast<std::size_t>(r)].Multiply(z).Multiply(
+              powers[static_cast<std::size_t>(l - 1 - r)]);
+      g.AddScaled(term, -w);
+    }
+  }
+  return ProjectGradientToParameters(g);
+}
 
-TEST_P(DceGradientSweep, AnalyticGradientMatchesNumeric) {
-  // Validates Prop. 4.7 end to end (entry gradient + structure projection)
-  // across k and ℓmax, at a random non-optimal point.
-  const auto [k, lmax] = GetParam();
-  Rng rng(31 * static_cast<std::uint64_t>(k) + static_cast<std::uint64_t>(lmax));
+std::vector<DenseMatrix> RandomStatistics(std::int64_t k, int lmax,
+                                          Rng& rng) {
   std::vector<DenseMatrix> p_hat;
   for (int l = 1; l <= lmax; ++l) {
     DenseMatrix z(k, k);
@@ -67,26 +90,86 @@ TEST_P(DceGradientSweep, AnalyticGradientMatchesNumeric) {
     }
     p_hat.push_back(z);
   }
-  const DceObjective objective =
-      DceObjective::WithGeometricWeights(std::move(p_hat), 10.0);
+  return p_hat;
+}
 
+std::vector<double> RandomPoint(std::int64_t k, Rng& rng) {
   std::vector<double> at(static_cast<std::size_t>(NumFreeParameters(k)));
   for (double& v : at) v = 1.0 / static_cast<double>(k) + rng.Uniform(-0.1, 0.1);
+  return at;
+}
 
-  std::vector<double> analytic;
-  objective.Gradient(at, &analytic);
-  const std::vector<double> numeric = NumericGradient(objective, at, 1e-6);
-  ASSERT_EQ(analytic.size(), numeric.size());
-  for (std::size_t i = 0; i < analytic.size(); ++i) {
-    const double scale = std::max(1.0, std::fabs(numeric[i]));
-    EXPECT_NEAR(analytic[i], numeric[i], 1e-4 * scale) << "param " << i;
+std::vector<double> GeometricWeights(int lmax, double lambda) {
+  std::vector<double> weights;
+  double w = 1.0;
+  for (int l = 1; l <= lmax; ++l, w *= lambda) weights.push_back(w);
+  return weights;
+}
+
+class DceGradientSweep
+    : public testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(DceGradientSweep, AnalyticGradientMatchesNumeric) {
+  // Validates Prop. 4.7 end to end (entry gradient + structure projection)
+  // across k, ℓmax and λ ∈ {1, 10}, at a random non-optimal point, against
+  // central differences and against the reference term loop.
+  const auto [k, lmax] = GetParam();
+  for (const double lambda : {1.0, 10.0}) {
+    SCOPED_TRACE(testing::Message() << "lambda " << lambda);
+    Rng rng(31 * static_cast<std::uint64_t>(k) +
+            static_cast<std::uint64_t>(lmax));
+    const std::vector<DenseMatrix> p_hat = RandomStatistics(k, lmax, rng);
+    const DceObjective objective =
+        DceObjective::WithGeometricWeights(p_hat, lambda);
+    const std::vector<double> at = RandomPoint(k, rng);
+
+    std::vector<double> analytic;
+    objective.Gradient(at, &analytic);
+    const std::vector<double> numeric = NumericGradient(objective, at, 1e-6);
+    ASSERT_EQ(analytic.size(), numeric.size());
+    for (std::size_t i = 0; i < analytic.size(); ++i) {
+      const double scale = std::max(1.0, std::fabs(numeric[i]));
+      EXPECT_NEAR(analytic[i], numeric[i], 1e-4 * scale) << "param " << i;
+    }
+
+    const std::vector<double> reference =
+        ReferenceGradient(p_hat, GeometricWeights(lmax, lambda), at);
+    EXPECT_EQ(analytic, reference);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DceGradientSweep,
     testing::Combine(testing::Values(2, 3, 4, 5, 7),
-                     testing::Values(1, 2, 3, 5)));
+                     testing::Values(1, 2, 3, 4, 5)));
+
+TEST(DceObjectiveTest, WorkspaceReusesPowersOnlyAtTheSameParams) {
+  // Value(x), Value(y), Gradient(x) through one workspace must equal a
+  // fresh Gradient(x): the second Value replaced the held powers, so the
+  // gradient must not reuse them.
+  Rng rng(17);
+  const DceObjective objective =
+      DceObjective::WithGeometricWeights(RandomStatistics(4, 5, rng), 10.0);
+  const std::vector<double> x = RandomPoint(4, rng);
+  const std::vector<double> y = RandomPoint(4, rng);
+  std::vector<double> fresh;
+  objective.Gradient(x, &fresh);
+
+  DceObjective::Workspace workspace(objective);
+  const double value_x = objective.Evaluate(x, &workspace, nullptr);
+  EXPECT_EQ(objective.Evaluate(y, &workspace, nullptr), objective.Value(y));
+  std::vector<double> memo;
+  EXPECT_EQ(objective.Evaluate(x, &workspace, &memo), value_x);
+  EXPECT_EQ(memo, fresh);
+  // A Gradient straight after the Value at the same point reuses its
+  // powers and still matches the fresh evaluation bit for bit.
+  EXPECT_EQ(objective.Evaluate(y, &workspace, nullptr), objective.Value(y));
+  std::vector<double> fresh_y;
+  objective.Gradient(y, &fresh_y);
+  EXPECT_EQ(objective.Evaluate(y, &workspace, &memo), objective.Value(y));
+  EXPECT_EQ(memo, fresh_y);
+  EXPECT_EQ(value_x, objective.Value(x));
+}
 
 TEST(DceFromStatisticsTest, RecoversPlantedHFromExactStatistics) {
   const DenseMatrix truth = MakeSkewCompatibility(3, 8.0);

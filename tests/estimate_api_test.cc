@@ -3,9 +3,12 @@
 // streamed .fgrbin under a budget), bit-identity across them in serial
 // runs for unit-weight and weighted caches, exact equivalence of the
 // legacy wrappers, and the error contract for malformed DatasetRefs,
-// wrong-size seeds and invalid LinBP options.
+// wrong-size seeds and invalid DCE and LinBP options.
 
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,6 +199,46 @@ TEST(EstimateApiTest, LabelRejectsNonPositiveLinBpOptionsOnEveryRoute) {
     for (const Result<LabelResult>& result : results) {
       ASSERT_FALSE(result.ok());
       EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(EstimateApiTest, InvalidDceOptionsAreInvalidArgumentOnEveryRoute) {
+  Fixture fixture = MakeFixture("api_dce_options");
+  const auto zero_restarts = [](DceOptions* o) { o->restarts = 0; };
+  const auto zero_lmax = [](DceOptions* o) { o->max_path_length = 0; };
+  const auto zero_lambda = [](DceOptions* o) { o->lambda = 0.0; };
+  const auto negative_lambda = [](DceOptions* o) { o->lambda = -1.0; };
+  const auto nan_lambda = [](DceOptions* o) { o->lambda = std::nan(""); };
+  const auto inf_lambda = [](DceOptions* o) {
+    o->lambda = std::numeric_limits<double>::infinity();
+  };
+  const auto zero_history = [](DceOptions* o) { o->optimizer.history = 0; };
+  for (const auto& corrupt :
+       std::vector<std::function<void(DceOptions*)>>{
+           zero_restarts, zero_lmax, zero_lambda, negative_lambda,
+           nan_lambda, inf_lambda, zero_history}) {
+    EstimateOptions options = TestOptions();
+    corrupt(&options.dce);
+    EstimateOptions budgeted = options;
+    budgeted.memory_budget_bytes = 8192;
+    const DatasetRef in_memory =
+        DatasetRef::InMemory(fixture.data.graph, fixture.seeds);
+    const DatasetRef cache = DatasetRef::FgrBin(fixture.path);
+    const std::pair<DatasetRef, EstimateOptions> routes[] = {
+        {in_memory, options}, {cache, options}, {cache, budgeted}};
+    for (const auto& [ref, route_options] : routes) {
+      auto estimate = Estimate(ref, route_options);
+      ASSERT_FALSE(estimate.ok());
+      EXPECT_EQ(estimate.status().code(), StatusCode::kInvalidArgument)
+          << estimate.status().ToString();
+
+      LabelOptions label_options;
+      label_options.estimate = route_options;
+      auto labeled = Label(ref, label_options);
+      ASSERT_FALSE(labeled.ok());
+      EXPECT_EQ(labeled.status().code(), StatusCode::kInvalidArgument)
+          << labeled.status().ToString();
     }
   }
 }

@@ -73,6 +73,26 @@ TEST(LbfgsTest, EmptyParameterVector) {
   EXPECT_EQ(result.value, 5.0);
 }
 
+TEST(LbfgsTest, ZeroHistoryIsACheckFailure) {
+  LbfgsOptions options;
+  options.history = 0;
+  EXPECT_DEATH(MinimizeLbfgs(Rosenbrock(), {-1.2, 1.0}, options),
+               "at least one");
+}
+
+TEST(LbfgsTest, ShortHistoryRingStillSolvesRosenbrock) {
+  // history 1 and 2 wrap the (s, y) ring on every accepted step.
+  for (const int history : {1, 2}) {
+    LbfgsOptions options;
+    options.history = history;
+    options.max_iterations = 2000;
+    const OptimizeResult result =
+        MinimizeLbfgs(Rosenbrock(), {-1.2, 1.0}, options);
+    EXPECT_NEAR(result.x[0], 1.0, 1e-4) << "history " << history;
+    EXPECT_NEAR(result.x[1], 1.0, 1e-4) << "history " << history;
+  }
+}
+
 TEST(LbfgsTest, AlreadyAtMinimum) {
   const OptimizeResult result = MinimizeLbfgs(Quadratic(), {1.0, -2.0, 3.0});
   EXPECT_TRUE(result.converged);
