@@ -99,11 +99,21 @@ double DceObjective::Evaluate(const std::vector<double>& params,
     g.AddScaled(powers[static_cast<std::size_t>(2 * l - 1)],
                 w * static_cast<double>(l));
     const DenseMatrix& z = p_hat_[static_cast<std::size_t>(l - 1)];
+    // The r = 0 and r = ℓ−1 ends skip their product with H⁰ = I. For
+    // finite entries that gives the same bits: I·Z and Z·I differ from Z
+    // only in the sign of zero entries, and g + (−w)·(±0) is g either way.
     for (int r = 0; r <= l - 1; ++r) {
-      powers[static_cast<std::size_t>(r)].MultiplyInto(z, &ws.product_);
-      ws.product_.MultiplyInto(powers[static_cast<std::size_t>(l - 1 - r)],
-                               &ws.term_);
-      g.AddScaled(ws.term_, -w);
+      const DenseMatrix* term = &z;
+      if (r > 0) {
+        powers[static_cast<std::size_t>(r)].MultiplyInto(z, &ws.product_);
+        term = &ws.product_;
+      }
+      if (r < l - 1) {
+        term->MultiplyInto(powers[static_cast<std::size_t>(l - 1 - r)],
+                           &ws.term_);
+        term = &ws.term_;
+      }
+      g.AddScaled(*term, -w);
     }
   }
   ProjectGradientToParameters(g, gradient);

@@ -1180,7 +1180,8 @@ TEST(ServerSocketTest, SurvivesGarbageAndPipelinedRequests) {
 
 // --- event-loop robustness: timeouts, eviction, shedding, pipelining ------
 
-// A heavy request (~hundreds of ms of optimization) for occupying workers.
+// A heavy request (tens of ms of optimization on 4 cores) for occupying
+// workers.
 std::string HeavyEstimateRequest(const std::string& dataset) {
   JsonWriter writer;
   writer.BeginObject();
@@ -1257,7 +1258,7 @@ TEST(ServerRobustnessTest, RequestTimeoutAnswersAndCloses) {
   ServerOptions options;
   options.port = 0;
   options.worker_threads = 1;
-  options.request_timeout_ms = 5;  // the heavy request runs ~400ms
+  options.request_timeout_ms = 5;  // the heavy request runs tens of ms
   options.persist_summaries = false;
   FgrServer server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -1327,7 +1328,10 @@ TEST(ServerRobustnessTest, OverloadedRequestsAreShedWithAStructuredError) {
   FgrServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
-  // A occupies the worker (~400ms), B occupies the queue, C must be shed.
+  // A occupies the worker, B occupies the queue, C must be shed. Each send
+  // waits until the server has taken the previous request (A in service,
+  // then B queued), so C only needs A to outlast a few polls, not a fixed
+  // sleep.
   LineClient a = MustConnect(server.host(), server.port());
   LineClient b = MustConnect(server.host(), server.port());
   LineClient c = MustConnect(server.host(), server.port());
@@ -1337,14 +1341,16 @@ TEST(ServerRobustnessTest, OverloadedRequestsAreShedWithAStructuredError) {
     EXPECT_TRUE(response.Find("ok")->bool_value())
         << response.Dump();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_TRUE(EventuallyTrue(
+      [&] { return server.metrics().requests_estimate.load() >= 1; }));
   std::thread b_thread([&] {
     const Json response = MustParse(
         MustExchange(&b, HeavyEstimateRequest(fixture.path)));
     EXPECT_TRUE(response.Find("ok")->bool_value())
         << response.Dump();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_TRUE(EventuallyTrue(
+      [&] { return server.metrics().queue_depth.load() >= 1; }));
 
   const Json shed = MustParse(
       MustExchange(&c, HeavyEstimateRequest(fixture.path)));
@@ -1462,7 +1468,8 @@ TEST(ServerRobustnessTest, GracefulDrainFlushesInFlightWork) {
     if (response.ok()) response_line = std::move(response).value();
   });
   // Let the request reach the worker, then stop mid-flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(EventuallyTrue(
+      [&] { return server.metrics().requests_estimate.load() >= 1; }));
   server.Stop();
   requester.join();
   ASSERT_FALSE(response_line.empty()) << "drain dropped the response";
