@@ -31,8 +31,11 @@ void Run() {
       const Labeling seeds = SampleStratifiedSeeds(instance.truth, 0.03, rng);
       const GraphStatistics stats =
           ComputeGraphStatistics(instance.graph, seeds, 5);
-      const DceObjective objective = DceObjective::WithGeometricWeights(
+      const DceObjective dce = DceObjective::WithGeometricWeights(
           stats.p_hat, /*lambda=*/10.0);
+      // Every optimizer evaluates through one workspace, as DCEr does.
+      DceObjective::Workspace workspace(dce);
+      const DceWorkspaceObjective objective(dce, &workspace);
       const auto starts =
           MakeRestartPoints(k, 10, 0.5 / static_cast<double>(k * k),
                             static_cast<std::uint64_t>(trial));

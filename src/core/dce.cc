@@ -1,8 +1,8 @@
 #include "core/dce.h"
 
 #include <algorithm>
-#include <cmath>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 

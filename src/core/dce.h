@@ -9,8 +9,12 @@
 // restarts the optimization from multiple points in parameter space.
 //
 // The two-step structure is the paper's key asset: ComputeGraphStatistics is
-// O(m·k·ℓmax) and runs once; every Value()/Gradient() evaluation afterwards
-// is O(k³·ℓmax) — independent of the graph.
+// O(m·k·ℓmax) and runs once; every evaluation afterwards touches only k×k
+// data — independent of the graph. An energy costs ℓmax−1 k×k products,
+// O(k³·ℓmax); the gradient adds the powers up to H^(2ℓmax−1) and
+// ℓmax(ℓmax−1) term products, O(k³·ℓmax²). An accepted L-BFGS point (a
+// Value, then a Gradient that reuses its powers) costs (ℓmax−1)(ℓmax+2)
+// products: 28 at ℓmax = 5.
 
 #ifndef FGR_CORE_DCE_H_
 #define FGR_CORE_DCE_H_
@@ -67,8 +71,8 @@ class DceObjective : public DifferentiableObjective {
     int num_powers_ = 1;               // powers_[0, num_powers_) are current
     std::vector<DenseMatrix> powers_;  // powers_[p] = Hᵖ; [0] = I, [1] = H
     DenseMatrix entry_gradient_;       // G = ∂E/∂H
-    DenseMatrix product_;              // scratch products
-    DenseMatrix term_;
+    DenseMatrix product_;              // H^r·P̂(ℓ), scratch
+    DenseMatrix term_;                 // H^r·P̂(ℓ)·H^(ℓ−1−r), scratch
   };
 
   // p_hat[ℓ-1] = P̂(ℓ); weights[ℓ-1] = wℓ. All matrices must be k×k.

@@ -1,4 +1,5 @@
-// Limited-memory BFGS minimizer (two-loop recursion, Armijo backtracking).
+// Limited-memory BFGS minimizer (two-loop recursion, weak-Wolfe bisection
+// line search).
 //
 // This is the gradient-based optimizer behind MCE, LCE, and DCE/DCEr. The
 // paper uses SciPy's SLSQP; an unconstrained quasi-Newton method is
@@ -17,7 +18,7 @@ namespace fgr {
 
 struct LbfgsOptions {
   int max_iterations = 300;
-  int history = 8;                 // number of (s, y) pairs retained
+  int history = 8;                 // (s, y) pairs retained; must be >= 1
   double gradient_tolerance = 1e-9;  // stop when ‖g‖∞ ≤ this
   double value_tolerance = 1e-14;    // stop on relative value stagnation
   int max_line_search_steps = 50;
@@ -36,6 +37,8 @@ struct OptimizeResult {
   int function_evaluations = 0;
 };
 
+// Allocates its buffers once per call; iterations allocate nothing beyond
+// what the objective's own Value/Gradient do.
 OptimizeResult MinimizeLbfgs(const DifferentiableObjective& objective,
                              std::vector<double> x0,
                              const LbfgsOptions& options = {});
