@@ -49,7 +49,6 @@
 #include "graph/io.h"
 #include "graph/labels.h"
 #include "matrix/dense.h"
-#include "matrix/hashimoto.h"
 #include "matrix/kernels/kernels.h"
 #include "matrix/panel_source.h"
 #include "matrix/sparse.h"

@@ -412,19 +412,6 @@ CsrPanelView SparseMatrix::PanelView(Index row_begin, Index row_end) const {
                       values_.data() + base);
 }
 
-SparseMatrix SparseMatrix::Transpose() const {
-  std::vector<Triplet> triplets;
-  triplets.reserve(static_cast<std::size_t>(nnz()));
-  for (Index i = 0; i < rows_; ++i) {
-    for (Index p = row_ptr_[static_cast<std::size_t>(i)];
-         p < row_ptr_[static_cast<std::size_t>(i) + 1]; ++p) {
-      triplets.push_back({col_idx_[static_cast<std::size_t>(p)], i,
-                          values_[static_cast<std::size_t>(p)]});
-    }
-  }
-  return FromTriplets(cols_, rows_, std::move(triplets));
-}
-
 bool SparseMatrix::IsSymmetric() const {
   return View().CheckSymmetry().symmetric;
 }

@@ -181,8 +181,6 @@ class SparseMatrix {
   CsrPanelView View() const;
   CsrPanelView PanelView(Index row_begin, Index row_end) const;
 
-  SparseMatrix Transpose() const;
-
   // Structural + numeric symmetry test (exact; CsrPanelView::CheckSymmetry).
   bool IsSymmetric() const;
 

@@ -640,8 +640,7 @@ Result<LineClient> LineClient::Connect(const std::string& host, int port) {
     ::close(fd);
     return Status::Internal(
         "cannot connect to " + host + ":" + std::to_string(port) + ": " +
-        std::strerror(error) +
-        " (is fgrd running? start it with `fgrd` or `fgr_cli serve`)");
+        std::strerror(error) + " (is fgrd running?)");
   }
   LineClient client;
   client.fd_ = fd;

@@ -95,12 +95,13 @@ struct FgrServer::Connection {
   bool close_after_flush = false;
   bool peer_closed = false;       // read side saw EOF
   bool overflowed = false;        // partial line exceeded the size limit
-  // Generations make timer and completion delivery exact under reuse:
-  // a fired timer or a finished worker item whose generation no longer
-  // matches is stale and gets dropped.
+  // A finished worker item whose generation no longer matches was
+  // orphaned by a timeout and gets dropped.
   std::uint64_t request_generation = 0;
-  std::uint64_t idle_generation = 0;
   SteadyClock::time_point request_start{};
+  // This connection's key in deadlines_: the in-flight request's deadline,
+  // else the idle deadline.
+  SteadyClock::time_point deadline{};
 };
 
 struct FgrServer::EstimateOutcome {
@@ -665,6 +666,7 @@ void FgrServer::Stop() {
     if (conn->fd >= 0) ::close(conn->fd);
   }
   connections_.clear();
+  deadlines_.clear();
   metrics_.connections_active.store(0, kRelaxed);
   {
     std::lock_guard<std::mutex> lock(work_mutex_);
@@ -693,14 +695,18 @@ void FgrServer::WakeEventThread() {
 }
 
 void FgrServer::EventLoop() {
-  timers_.Start(SteadyClock::now());
   bool drain_started = false;
   epoll_event events[64];
-  std::vector<TimerWheel::Entry> expired;
 
   while (!stopping_.load(std::memory_order_acquire)) {
-    std::int64_t timeout_ms = timers_.MsUntilNext(SteadyClock::now());
-    if (timeout_ms < 0 || timeout_ms > 100) timeout_ms = 100;
+    std::int64_t timeout_ms = 100;
+    if (!deadlines_.empty()) {
+      timeout_ms = std::clamp<std::int64_t>(
+          std::chrono::ceil<std::chrono::milliseconds>(
+              deadlines_.begin()->first - SteadyClock::now())
+              .count(),
+          0, timeout_ms);
+    }
     const int n = ::epoll_wait(epoll_fd_, events, 64,
                                static_cast<int>(timeout_ms));
     if (n < 0 && errno != EINTR) break;
@@ -734,44 +740,34 @@ void FgrServer::EventLoop() {
     }
 
     ProcessCompletions();
-    expired.clear();
-    timers_.Collect(SteadyClock::now(), &expired);
-    if (!expired.empty()) {
-      for (const TimerWheel::Entry& entry : expired) {
-        auto found = connections_.find(entry.conn_id);
-        if (found == connections_.end()) continue;
-        Connection* conn = found->second.get();
-        if (entry.kind == TimerWheel::Kind::kRequest) {
-          if (!conn->in_flight ||
-              conn->request_generation != entry.generation) {
-            continue;  // stale: the request completed
-          }
-          metrics_.requests_timed_out.fetch_add(1, kRelaxed);
-          conn->in_flight = false;
-          // Orphan the worker's eventual completion and refuse to serve
-          // anything this connection already pipelined — its ordering
-          // contract is broken, so it gets the error and the door.
-          ++conn->request_generation;
-          conn->pending_lines.clear();
-          conn->close_after_flush = true;
-          QueueResponse(
-              conn,
-              ServeErrorLine(
-                  ServeErrorCode::kTimeout,
-                  "request exceeded the " +
-                      std::to_string(options_.request_timeout_ms) +
-                      " ms deadline; closing connection"));
-          FlushWrites(conn);  // may destroy conn
-        } else {
-          if (conn->idle_generation != entry.generation) continue;
-          if (conn->in_flight || !conn->pending_lines.empty() ||
-              conn->write_offset < conn->write_buffer.size()) {
-            ArmIdleTimer(conn);  // busy, not idle — re-arm
-            continue;
-          }
-          metrics_.connections_closed_idle.fetch_add(1, kRelaxed);
-          CloseConnection(conn);
-        }
+    const SteadyClock::time_point now = SteadyClock::now();
+    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+      Connection* conn = connections_.at(deadlines_.begin()->second).get();
+      deadlines_.erase(deadlines_.begin());
+      if (conn->in_flight) {
+        metrics_.requests_timed_out.fetch_add(1, kRelaxed);
+        conn->in_flight = false;
+        // Orphan the worker's eventual completion and refuse to serve
+        // anything this connection already pipelined — its ordering
+        // contract is broken, so it gets the error and the door.
+        ++conn->request_generation;
+        conn->pending_lines.clear();
+        conn->close_after_flush = true;
+        QueueResponse(
+            conn,
+            ServeErrorLine(
+                ServeErrorCode::kTimeout,
+                "request exceeded the " +
+                    std::to_string(options_.request_timeout_ms) +
+                    " ms deadline; closing connection"));
+        ArmIdleTimer(conn);  // bounds a backlog the client never reads
+        FlushWrites(conn);   // may destroy conn
+      } else if (!conn->pending_lines.empty() ||
+                 conn->write_offset < conn->write_buffer.size()) {
+        ArmIdleTimer(conn);  // busy, not idle — re-arm
+      } else {
+        metrics_.connections_closed_idle.fetch_add(1, kRelaxed);
+        CloseConnection(conn);
       }
     }
 
@@ -849,9 +845,17 @@ void FgrServer::AcceptNewConnections() {
 }
 
 void FgrServer::ArmIdleTimer(Connection* conn) {
-  ++conn->idle_generation;
-  timers_.Schedule(SteadyClock::now(), options_.idle_timeout_ms, conn->id,
-                   conn->idle_generation, TimerWheel::Kind::kIdle);
+  if (conn->in_flight) return;  // the request deadline stands
+  // At least 1 ms out, so a re-arm inside the expiry loop is never due.
+  const std::int64_t idle_ms =
+      std::max<std::int64_t>(options_.idle_timeout_ms, 1);
+  SetDeadline(conn, SteadyClock::now() + std::chrono::milliseconds(idle_ms));
+}
+
+void FgrServer::SetDeadline(Connection* conn, SteadyClock::time_point when) {
+  deadlines_.erase({conn->deadline, conn->id});
+  conn->deadline = when;
+  deadlines_.emplace(when, conn->id);
 }
 
 bool FgrServer::UpdateEpoll(Connection* conn, bool want_write) {
@@ -951,9 +955,8 @@ void FgrServer::DispatchPending(Connection* conn) {
     conn->in_flight = true;
     ++conn->request_generation;
     conn->request_start = SteadyClock::now();
-    timers_.Schedule(conn->request_start, options_.request_timeout_ms,
-                     conn->id, conn->request_generation,
-                     TimerWheel::Kind::kRequest);
+    SetDeadline(conn, conn->request_start + std::chrono::milliseconds(
+                                                options_.request_timeout_ms));
     metrics_.queue_depth.fetch_add(1, kRelaxed);
     {
       std::lock_guard<std::mutex> lock(work_mutex_);
@@ -1024,7 +1027,8 @@ void FgrServer::CloseConnection(Connection* conn) {
   ::close(conn->fd);
   conn->fd = -1;
   metrics_.connections_active.fetch_sub(1, kRelaxed);
-  connections_.erase(conn->id);  // destroys *conn; timers cancel lazily
+  deadlines_.erase({conn->deadline, conn->id});
+  connections_.erase(conn->id);  // destroys *conn
 }
 
 void FgrServer::ProcessCompletions() {
@@ -1104,7 +1108,7 @@ std::vector<std::string> SplitCommaList(const std::string& list) {
   return pieces;
 }
 
-Status RunDaemon(const std::string& name, const ServerOptions& options,
+Status RunDaemon(const ServerOptions& options,
                  const std::vector<std::string>& preload,
                  bool dump_metrics_on_exit) {
   // Block the shutdown signals before any thread spawns so every thread
@@ -1126,24 +1130,22 @@ Status RunDaemon(const std::string& name, const ServerOptions& options,
     }
   }
   std::printf(
-      "%s: serving on %s:%d (workers=%d, budget=%lld MB, preloaded=%zu)\n",
-      name.c_str(), server.host().c_str(), server.port(),
-      options.worker_threads,
+      "fgrd: serving on %s:%d (workers=%d, budget=%lld MB, preloaded=%zu)\n",
+      server.host().c_str(), server.port(), options.worker_threads,
       static_cast<long long>(options.dataset_budget_bytes >> 20),
       preload.size());
-  std::printf("%s: kernel backend: %s\n", name.c_str(),
+  std::printf("fgrd: kernel backend: %s\n",
               kernels::IsaName(kernels::ActiveIsa()));
   std::fflush(stdout);  // scripts scrape the port from this line
 
   int received = 0;
   sigwait(&signals, &received);
-  std::printf("%s: received %s, shutting down\n", name.c_str(),
+  std::printf("fgrd: received %s, shutting down\n",
               received == SIGINT ? "SIGINT" : "SIGTERM");
   std::fflush(stdout);
   server.Stop();  // graceful drain, bounded by drain_timeout_ms
   if (dump_metrics_on_exit) {
-    std::printf("%s: metrics %s\n", name.c_str(),
-                server.MetricsJson().c_str());
+    std::printf("fgrd: metrics %s\n", server.MetricsJson().c_str());
     std::fflush(stdout);
   }
   return Status::Ok();

@@ -24,11 +24,13 @@
 //       that re-reads the file block-row by block-row on every pass
 //     → [label only] LabelsFromBeliefs.
 //
-// Robustness: per-request and idle-connection deadlines run off a slotted
-// timer wheel; a connection whose write buffer outgrows its cap is evicted
-// as a slow client; once the worker queue passes its high-water mark new
-// requests are shed with a structured `overloaded` error; Stop() drains
-// queued and in-flight work (bounded by drain_timeout_ms) before closing.
+// Robustness: each connection holds one deadline in an ordered set — its
+// in-flight request's deadline, else its idle deadline — so the loop's
+// bookkeeping grows with connections, not traffic; a connection whose
+// write buffer outgrows its cap is evicted as a slow client; once the
+// worker queue passes its high-water mark new requests are shed with a
+// structured `overloaded` error; Stop() drains queued and in-flight work
+// (bounded by drain_timeout_ms) before closing.
 // Every outcome lands in one atomic ServerMetrics struct, served by the
 // `metrics` verb and by `stats`, its alias.
 //
@@ -52,16 +54,17 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "serve/dataset_cache.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/summary_cache.h"
-#include "serve/timer_wheel.h"
 #include "util/stopwatch.h"
 
 namespace fgr {
@@ -193,7 +196,11 @@ class FgrServer {
   void QueueResponse(Connection* conn, const std::string& response);
   void CloseConnection(Connection* conn);
   void ProcessCompletions();
+  // Sets the idle deadline, unless a request is in flight.
   void ArmIdleTimer(Connection* conn);
+  // Replaces the connection's one entry in deadlines_.
+  void SetDeadline(Connection* conn,
+                   std::chrono::steady_clock::time_point when);
   bool UpdateEpoll(Connection* conn, bool want_write);
   void WakeEventThread();
 
@@ -224,7 +231,10 @@ class FgrServer {
   // instead of a dangling dereference.
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> connections_;
   std::uint64_t next_conn_id_ = 1;
-  TimerWheel timers_;
+  // One (deadline, connection id) entry per open connection, earliest
+  // first: epoll_wait sleeps until the front one is due.
+  std::set<std::pair<std::chrono::steady_clock::time_point, std::uint64_t>>
+      deadlines_;
 
   std::mutex work_mutex_;
   std::condition_variable work_cv_;
@@ -238,18 +248,18 @@ class FgrServer {
 };
 
 // "a.fgrbin,b.fgrbin" → {"a.fgrbin", "b.fgrbin"} (empty pieces dropped) —
-// the --preload flag syntax shared by fgrd and `fgr_cli serve`.
+// fgrd's --preload flag syntax.
 std::vector<std::string> SplitCommaList(const std::string& list);
 
 // Runs a server until SIGINT/SIGTERM: blocks the signals, starts the
 // server, preloads `preload` datasets (fatal when one fails), prints
-// "<name>: serving on <host>:<port> ..." on stdout (flushed, so scripts
+// "fgrd: serving on <host>:<port> ..." on stdout (flushed, so scripts
 // can scrape an ephemeral port), waits for a signal, drains, stops. When
 // `dump_metrics_on_exit` is set, prints the metrics JSON on its own line
-// after shutdown. Shared by the fgrd binary and `fgr_cli serve`.
-Status RunDaemon(const std::string& name, const ServerOptions& options,
+// after shutdown. The whole of the fgrd binary past flag parsing.
+Status RunDaemon(const ServerOptions& options,
                  const std::vector<std::string>& preload,
-                 bool dump_metrics_on_exit = false);
+                 bool dump_metrics_on_exit);
 
 }  // namespace fgr
 

@@ -1296,6 +1296,69 @@ TEST(ServerRobustnessTest, IdleConnectionsAreReaped) {
   server.Stop();
 }
 
+// Every request line and every completion pushes the idle deadline out,
+// so a connection that keeps talking outlives many idle timeouts; once it
+// falls silent it is reaped.
+TEST(ServerRobustnessTest, ActivityKeepsAConnectionPastTheIdleTimeout) {
+  ServerOptions options;
+  options.port = 0;
+  options.idle_timeout_ms = 60;
+  FgrServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  LineClient client = MustConnect(server.host(), server.port());
+  const auto stop_at =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  int answered = 0;
+  while (std::chrono::steady_clock::now() < stop_at) {
+    auto response = client.Exchange("{\"v\":2,\"op\":\"stats\"}");
+    ASSERT_TRUE(response.ok()) << "request " << answered << ": "
+                               << response.status().ToString();
+    EXPECT_TRUE(MustParse(response.value()).Find("ok")->bool_value());
+    ++answered;
+    EXPECT_EQ(server.metrics().connections_closed_idle.load(), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_GE(answered, 5);
+  EXPECT_TRUE(EventuallyTrue(
+      [&] { return server.metrics().connections_closed_idle.load() >= 1; }));
+  EXPECT_FALSE(client.Exchange("{\"op\":\"stats\"}").ok());
+  server.Stop();
+}
+
+// While a request is in flight its deadline replaces the idle one, and
+// traffic arriving meanwhile does not swap it back: a request running far
+// past the idle timeout is answered, not reaped or timed out.
+TEST(ServerRobustnessTest, InFlightRequestOutlivesTheIdleTimeout) {
+  Fixture fixture = MakeFixture("inflight_idle_fixture", 55, 2000);
+  ServerOptions options;
+  options.port = 0;
+  options.worker_threads = 1;
+  options.idle_timeout_ms = 5;  // the heavy request runs tens of ms
+  options.persist_summaries = false;
+  FgrServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = RawConnect(server.host(), server.port());
+  ASSERT_TRUE(SendAll(fd, HeavyEstimateRequest(fixture.path) + "\n"));
+  // Once the worker holds the estimate, pipeline a second request.
+  ASSERT_TRUE(EventuallyTrue(
+      [&] { return server.metrics().requests_estimate.load() >= 1; }));
+  ASSERT_TRUE(SendAll(fd, "{\"v\":2,\"op\":\"stats\"}\n"));
+  const std::vector<std::string> lines = RecvLines(fd, 2);
+  ASSERT_EQ(lines.size(), 2u) << "the connection was closed early";
+  const Json estimate = MustParse(lines[0]);
+  EXPECT_TRUE(estimate.Find("ok")->bool_value()) << estimate.Dump();
+  EXPECT_EQ(estimate.GetString("op", ""), "estimate");
+  EXPECT_TRUE(MustParse(lines[1]).Find("ok")->bool_value());
+  EXPECT_EQ(server.metrics().requests_timed_out.load(), 0);
+  // Idle again after the answers, the connection is reaped.
+  EXPECT_TRUE(EventuallyTrue(
+      [&] { return server.metrics().connections_closed_idle.load() >= 1; }));
+  ::close(fd);
+  server.Stop();
+}
+
 TEST(ServerRobustnessTest, SlowClientsAreEvictedAtTheWriteBufferCap) {
   ServerOptions options;
   options.port = 0;

@@ -95,17 +95,6 @@ TEST(SparseMatrixTest, DiagonalFactoryAndIdentity) {
   EXPECT_EQ(id.At(1, 1), 1.0);
 }
 
-TEST(SparseMatrixTest, TransposeRoundTrip) {
-  SparseMatrix m = SparseMatrix::FromTriplets(
-      2, 3, {{0, 2, 1.0}, {1, 0, 2.0}});
-  SparseMatrix t = m.Transpose();
-  EXPECT_EQ(t.rows(), 3);
-  EXPECT_EQ(t.cols(), 2);
-  EXPECT_EQ(t.At(2, 0), 1.0);
-  EXPECT_EQ(t.At(0, 1), 2.0);
-  EXPECT_TRUE(AllClose(t.Transpose().ToDense(), m.ToDense(), 0.0));
-}
-
 TEST(SparseMatrixTest, IsSymmetric) {
   EXPECT_TRUE(MakeExample().IsSymmetric());
   SparseMatrix asym =

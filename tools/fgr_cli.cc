@@ -41,10 +41,6 @@
 //       (out-of-core labeling — only the n×k beliefs stay resident), with
 //       output byte-identical to the in-core path in serial runs.
 //
-//   fgr_cli serve [--port N] [--workers W] [--budget MB] [--preload ...]
-//       Run the fgrd serving daemon in-process (same protocol and flags as
-//       the standalone fgrd binary; see tools/fgrd.cc).
-//
 //   fgr_cli query estimate <dataset.fgrbin> [--restarts R] [--lmax L]
 //           [--lambda X] [--dce-seed N] [--port P] [--host H]
 //   fgr_cli query label <dataset.fgrbin> <out.txt> [--port P] [--host H]
@@ -139,9 +135,6 @@ int Usage() {
       "  fgr_cli label <name|edges> <labels> <out> --classes K "
       "[--restarts R]\n"
       "          [--memory-budget MB]\n"
-      "  fgr_cli serve [--port N] [--host H] [--workers W] [--budget MB]\n"
-      "          [--streaming-budget MB] [--preload a.fgrbin,b] "
-      "[--no-summaries]\n"
       "  fgr_cli query estimate <dataset.fgrbin> [--restarts R] [--lmax L]\n"
       "          [--lambda X] [--dce-seed N] [--port P] [--host H]\n"
       "  fgr_cli query label <dataset.fgrbin> <out> [--port P] [--host H]\n"
@@ -617,33 +610,6 @@ int RunQuery(int argc, char** argv) {
   return Usage();
 }
 
-int RunServe(const Flags& flags) {
-  ServerOptions options;
-  options.port = static_cast<int>(flags.Int("port", options.port));
-  options.host = flags.Str("host", options.host);
-  options.worker_threads =
-      static_cast<int>(flags.Int("workers", options.worker_threads));
-  // The same validation the fgrd binary enforces: without it an
-  // out-of-range port would be silently truncated by the uint16 cast.
-  if (options.port < 0 || options.port > 65535) {
-    return Fail("--port must be in [0, 65535]");
-  }
-  if (options.worker_threads < 1) return Fail("--workers must be >= 1");
-  // -1 = flag absent: --budget 0 is meaningful (no residency, stream
-  // every estimate), exactly as the fgrd binary accepts it.
-  const std::int64_t budget_mb = flags.Int("budget", -1);
-  if (budget_mb >= 0) options.dataset_budget_bytes = budget_mb << 20;
-  const std::int64_t streaming_mb = flags.Int("streaming-budget", -1);
-  if (streaming_mb == 0) return Fail("--streaming-budget must be >= 1 MB");
-  if (streaming_mb > 0) options.streaming_budget_bytes = streaming_mb << 20;
-  options.persist_summaries = !flags.Bool("no-summaries");
-  const std::vector<std::string> preload =
-      SplitCommaList(flags.Str("preload"));
-  const Status status = RunDaemon("fgr_cli serve", options, preload);
-  if (!status.ok()) return Fail(status.ToString());
-  return 0;
-}
-
 // Prints the dispatched kernel backend and which variants this build /
 // machine can run — the first line is what CI publishes to the job summary.
 int RunKernels() {
@@ -695,9 +661,6 @@ int RunCommand(int argc, char** argv) {
   }
   if (command == "query") {
     return RunQuery(argc, argv);
-  }
-  if (command == "serve") {
-    return RunServe(Flags(argc, argv, 2));
   }
   if (command == "kernels") {
     return RunKernels();

@@ -139,8 +139,7 @@ int main(int argc, char** argv) {
   fgr::obs::InitTracingFromEnv();
   if (!trace_path.empty()) fgr::obs::EnableTracing(trace_path);
 
-  const fgr::Status status =
-      fgr::RunDaemon("fgrd", options, preload, dump_metrics);
+  const fgr::Status status = fgr::RunDaemon(options, preload, dump_metrics);
   if (!status.ok()) {
     std::fprintf(stderr, "fgrd: %s\n", status.ToString().c_str());
     return 1;
