@@ -121,7 +121,8 @@ DenseMatrix NormalizeStatistics(const DenseMatrix& m,
 
 // Reference implementation of the NB recurrence at the n×n matrix level
 // (Prop. 4.3): W(1)=W, W(2)=W²−D, W(ℓ)=W·W(ℓ−1) − (D−I)·W(ℓ−2).
-// Exponential memory in ℓ — used only by tests and the Fig. 5b baseline.
+// Exponential memory in ℓ — used only by tests (the Fig. 5b bench times
+// its own inline copy of the recurrence, one ℓ at a time).
 SparseMatrix NonBacktrackingMatrixPower(const Graph& graph, int length);
 
 }  // namespace fgr

@@ -38,8 +38,10 @@ struct LinBpOptions {
   // Stop early when max-abs belief change falls below this (0 disables).
   double early_stop_tolerance = 0.0;
   // Precomputed spectral radius of W (0 = compute internally). Callers that
-  // propagate repeatedly on the same graph (Holdout, benches) should compute
-  // it once with SpectralRadius() and pass it here.
+  // propagate repeatedly on the same graph compute it once with
+  // SpectralRadius() and pass it here: Holdout per graph, benches, and
+  // fgrd per dataset content hash (SummaryCache::GetOrComputeRho). It
+  // must be the value SpectralRadius returns for this W, or ε moves.
   double rho_w_hint = 0.0;
 };
 

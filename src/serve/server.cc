@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <signal.h>
@@ -16,18 +17,20 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <utility>
 
 #include "core/dce.h"
+#include "data/prefetching_panel_reader.h"
 #include "data/streaming_estimation.h"
 #include "matrix/kernels/kernels.h"
+#include "matrix/spectral.h"
 #include "obs/counters.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "prop/linbp.h"
-#include "prop/linbp_streaming.h"
 
 namespace fgr {
 namespace {
@@ -114,6 +117,10 @@ struct FgrServer::EstimateOutcome {
   const Labeling* seeds = nullptr;
   std::int64_t num_nodes = 0;
   std::int64_t num_edges = 0;
+  // The identity the summary and ρ(W) are cached under, and — streamed
+  // only — the file stamp that hash was taken at.
+  std::uint64_t content_hash = 0;
+  FileStamp stamp;
   SummarySource source = SummarySource::kComputed;
   EstimationResult estimate;
   // Per-request stage breakdown, echoed as the "stages" object in
@@ -122,9 +129,12 @@ struct FgrServer::EstimateOutcome {
   double seconds_summarize = 0.0;  // SummaryCache::GetOrCompute
   double seconds_optimize = 0.0;   // EstimateDceFromStatistics
   double seconds_propagate = 0.0;  // label only: LinBP
-  // Label only: the propagated labels and LinBP's iteration count.
+  // Label only: the propagated labels, LinBP's iteration count, and the
+  // ρ(W) it scaled ε by, with where that ρ came from.
   Labeling predicted;
   int linbp_iterations = 0;
+  double rho_w = 0.0;
+  SummarySource rho_source = SummarySource::kComputed;
 };
 
 FgrServer::FgrServer(ServerOptions options)
@@ -169,7 +179,6 @@ Status FgrServer::RunEstimate(const Request& request,
   }
   const PathType path_type = request.options.path_type;
 
-  std::uint64_t content_hash = 0;
   SummaryCache::ComputeFn compute;
 
   // Acquire canonicalizes internally; the resident branch reads the
@@ -183,7 +192,7 @@ Status FgrServer::RunEstimate(const Request& request,
     outcome->seeds = &mapped->labels();
     outcome->num_nodes = mapped->num_nodes();
     outcome->num_edges = mapped->num_edges();
-    content_hash = acquired.value().content_hash;
+    outcome->content_hash = acquired.value().content_hash;
     // Resident: the shared ℓ-pass body over the mapped CSR as one panel —
     // what ComputeGraphStatistics runs in-core, so the statistics match
     // the offline CLI bit for bit. The lambda captures only the mapping
@@ -201,8 +210,8 @@ Status FgrServer::RunEstimate(const Request& request,
     };
   } else if (acquired.status().code() == StatusCode::kFailedPrecondition) {
     // Too large for residency: estimates stream, and label requests
-    // propagate block-row over the same panel stream (HandleLabel routes
-    // non-resident outcomes through PropagateLinBPStreaming).
+    // propagate block-row over the same panel stream (HandleEstimate opens
+    // a StreamedPanelSource for non-resident outcomes).
     outcome->canonical_path = CanonicalPath(dataset);
     const std::string& path = outcome->canonical_path;
     // The stamp the content hash is valid for; the compute callback
@@ -214,7 +223,8 @@ Status FgrServer::RunEstimate(const Request& request,
 
     Result<std::uint64_t> hashed = StreamingContentHash(path, stamp);
     if (!hashed.ok()) return hashed.status();
-    content_hash = hashed.value();
+    outcome->content_hash = hashed.value();
+    outcome->stamp = stamp;
     Result<Labeling> seeds = ReadFgrBinLabels(path);
     if (!seeds.ok()) return seeds.status();
     outcome->streamed_seeds = std::move(seeds).value();
@@ -268,7 +278,7 @@ Status FgrServer::RunEstimate(const Request& request,
   stage_timer.Restart();
   Result<std::shared_ptr<const DatasetSummary>> summary = [&] {
     FGR_TRACE_SPAN("serve/summarize");
-    return summaries_.GetOrCompute(path, content_hash, path_type,
+    return summaries_.GetOrCompute(path, outcome->content_hash, path_type,
                                    request.options.max_path_length, compute,
                                    &outcome->source);
   }();
@@ -301,24 +311,54 @@ Result<std::string> FgrServer::HandleEstimate(const Request& request) {
     Stopwatch propagate_timer;
     Result<LinBpResult> prop = [&]() -> Result<LinBpResult> {
       FGR_TRACE_SPAN("serve/propagate");
+      // Resident: the mapped adjacency as one panel — the body
+      // RunLinBp(graph, ...) runs in-core. Non-resident: block-row panels
+      // streamed through the prefetcher, with only the n×k belief state
+      // resident. Labels match across the two in serial runs.
+      std::optional<WholeMatrixSource> whole;
+      std::unique_ptr<StreamedPanelSource> streamed;
+      PanelSource* source = nullptr;
       if (outcome.mapped != nullptr) {
-        // Propagate straight over the mapped adjacency as one panel — the
-        // body RunLinBp(graph, ...) runs in-core.
-        WholeMatrixSource whole(outcome.mapped->View());
-        return RunLinBpOverPanels(whole, *outcome.seeds, outcome.estimate.h);
+        source = &whole.emplace(outcome.mapped->View());
+      } else {
+        BlockRowReaderOptions reader_options;
+        reader_options.memory_budget_bytes = options_.streaming_budget_bytes;
+        Result<std::unique_ptr<StreamedPanelSource>> opened =
+            StreamedPanelSource::Open(outcome.canonical_path, reader_options,
+                                      outcome.seeds->num_nodes());
+        if (!opened.ok()) return opened.status();
+        streamed = std::move(opened).value();
+        source = streamed.get();
       }
-      // Non-resident: block-row propagation over a streamed panel source;
-      // only the n×k belief state is resident. Labels match the resident
-      // path bit for bit in serial runs.
-      BlockRowReaderOptions reader_options;
-      reader_options.memory_budget_bytes = options_.streaming_budget_bytes;
-      return PropagateLinBPStreaming(outcome.canonical_path, *outcome.seeds,
-                                     outcome.estimate.h, LinBpOptions{},
-                                     reader_options);
+      // ρ(W) depends on the bytes alone: run its Lanczos passes on the
+      // first label of this content only. The value is the one LinBP
+      // would compute over this source, so the hint changes no bit.
+      Result<double> rho_w = summaries_.GetOrComputeRho(
+          outcome.canonical_path, outcome.content_hash,
+          [&]() -> Result<double> {
+            Result<double> rho = SpectralRadius(*source);
+            if (!rho.ok() || outcome.mapped != nullptr) return rho;
+            // Streamed: memoize nothing when the bytes changed after the
+            // hash was taken — ρ would describe another file.
+            Result<FileStamp> after = FileStamp::Of(outcome.canonical_path);
+            if (!after.ok() || after.value() != outcome.stamp) {
+              return Status::Internal(outcome.canonical_path +
+                                      ": dataset changed while computing "
+                                      "rho(W); retry");
+            }
+            return rho;
+          },
+          &outcome.rho_source);
+      if (!rho_w.ok()) return rho_w.status();
+      LinBpOptions linbp;
+      linbp.rho_w_hint = rho_w.value();
+      return RunLinBpOverPanels(*source, *outcome.seeds, outcome.estimate.h,
+                                linbp);
     }();
     if (!prop.ok()) return prop.status();
     outcome.seconds_propagate = propagate_timer.Seconds();
     outcome.linbp_iterations = prop.value().iterations_run;
+    outcome.rho_w = prop.value().rho_w;
     outcome.predicted =
         LabelsFromBeliefs(prop.value().beliefs, *outcome.seeds);
   }
@@ -361,6 +401,8 @@ Result<std::string> FgrServer::HandleEstimate(const Request& request) {
   AppendMatrix(&writer, outcome.estimate.h);
   if (label) {
     writer.Key("linbp_iterations").Value(outcome.linbp_iterations);
+    writer.Key("rho_w").Value(outcome.rho_w);
+    writer.Key("rho_w_source").Value(SummarySourceName(outcome.rho_source));
     writer.Key("labels");
     writer.BeginArray();
     for (NodeId i = 0; i < outcome.predicted.num_nodes(); ++i) {
@@ -446,6 +488,8 @@ std::string FgrServer::MetricsJson(const char* op) const {
   writer.Key("disk_hits").Value(summary.disk_hits);
   writer.Key("computed").Value(summary.computed);
   writer.Key("invalidations").Value(summary.invalidations);
+  writer.Key("rho_memory_hits").Value(summary.rho_memory_hits);
+  writer.Key("rho_computed").Value(summary.rho_computed);
   writer.EndObject();
   writer.Key("datasets");
   writer.BeginObject();
@@ -1118,6 +1162,15 @@ Status RunDaemon(const ServerOptions& options,
   sigaddset(&signals, SIGINT);
   sigaddset(&signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+
+#ifdef __GLIBC__
+  // Pin glibc's mmap threshold at its default. Left dynamic, it rises to
+  // the largest block ever freed (a label's n×k belief buffers), after
+  // which such blocks come from per-thread arenas and stay resident
+  // between requests, so the daemon's footprint tracks which worker
+  // served what rather than what it holds.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
 
   FgrServer server(options);
   FGR_RETURN_IF_ERROR(server.Start());

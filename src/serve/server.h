@@ -18,10 +18,13 @@
 //                                     panel source for non-resident
 //                                     datasets)
 //     → EstimateDceFromStatistics    (k-scale restarts, graph-free)
-//     → [label only] RunLinBpOverPanels over the mapped view, or, for
-//       non-resident datasets, PropagateLinBPStreaming: the same body (Lanczos
-//       ρ(W), then the iterations) over a prefetched StreamedPanelSource
-//       that re-reads the file block-row by block-row on every pass
+//     → [label only] SummaryCache::GetOrComputeRho (ρ(W) memoized on the
+//                                     same content hash; its Lanczos passes
+//                                     run on the first label only)
+//     → [label only] RunLinBpOverPanels with that ρ as its hint, over the
+//       mapped view, or, for non-resident datasets, over a prefetched
+//       StreamedPanelSource that re-reads the file block-row by block-row
+//       on every pass
 //     → [label only] LabelsFromBeliefs.
 //
 // Robustness: each connection holds one deadline in an ordered set — its
@@ -251,7 +254,8 @@ class FgrServer {
 // fgrd's --preload flag syntax.
 std::vector<std::string> SplitCommaList(const std::string& list);
 
-// Runs a server until SIGINT/SIGTERM: blocks the signals, starts the
+// Runs a server until SIGINT/SIGTERM: blocks the signals, pins glibc's
+// mmap threshold (so freed n×k buffers return to the OS), starts the
 // server, preloads `preload` datasets (fatal when one fails), prints
 // "fgrd: serving on <host>:<port> ..." on stdout (flushed, so scripts
 // can scrape an ephemeral port), waits for a signal, drains, stops. When

@@ -4,17 +4,23 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "data/mmap_fgrbin.h"
 #include "util/check.h"
 
 namespace fgr {
 namespace {
 
-constexpr char kMagic[8] = {'f', 'g', 'r', 's', 'u', 'm', '0', '1'};
+constexpr char kMagic[8] = {'f', 'g', 'r', 's', 'u', 'm', '0', '2'};
+// Shared by every format version; a file that carries it with another
+// version suffix is a sidecar this build no longer reads.
+constexpr std::size_t kMagicFamilyBytes = 6;
 constexpr std::uint32_t kEndianCheck = 0x01020304u;
 
 struct Header {
@@ -25,8 +31,17 @@ struct Header {
   std::int64_t num_nodes;
   std::int32_t num_classes;
   std::int32_t max_length;
+  std::uint64_t checksum;  // HashBytes of the whole file, this field zeroed
 };
-static_assert(sizeof(Header) == 40, "fgrsum header must pack to 40 bytes");
+static_assert(sizeof(Header) == 48, "fgrsum header must pack to 48 bytes");
+
+// The checksum of a complete sidecar image: FNV-1a 64 over every byte with
+// the checksum field read as zero.
+std::uint64_t ImageChecksum(std::vector<char> image) {
+  std::memset(image.data() + offsetof(Header, checksum), 0,
+              sizeof(Header::checksum));
+  return HashBytes(image.data(), image.size());
+}
 
 std::int32_t PathTypeCode(PathType type) {
   return type == PathType::kNonBacktracking ? 1 : 2;
@@ -84,7 +99,12 @@ Status WriteFgrSum(const DatasetSummary& summary, const std::string& path) {
       return Status::Ok();  // the disk copy already subsumes ours
     }
   }
-  Header header;
+  const std::int64_t k = summary.num_classes;
+  const std::size_t row_bytes = static_cast<std::size_t>(k) * sizeof(double);
+  std::vector<char> image(sizeof(Header) + summary.m_raw.size() *
+                                               static_cast<std::size_t>(k) *
+                                               row_bytes);
+  Header header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.endian_check = kEndianCheck;
   header.path_type = PathTypeCode(summary.path_type);
@@ -92,24 +112,40 @@ Status WriteFgrSum(const DatasetSummary& summary, const std::string& path) {
   header.num_nodes = summary.num_nodes;
   header.num_classes = summary.num_classes;
   header.max_length = summary.max_length;
+  char* payload = image.data() + sizeof(Header);
+  for (const DenseMatrix& m : summary.m_raw) {
+    FGR_CHECK_EQ(m.rows(), k);
+    FGR_CHECK_EQ(m.cols(), k);
+    for (std::int64_t i = 0; i < k; ++i) {
+      std::memcpy(payload, m.RowPtr(i), row_bytes);
+      payload += row_bytes;
+    }
+  }
+  std::memcpy(image.data(), &header, sizeof(header));
+  header.checksum = ImageChecksum(image);
+  std::memcpy(image.data(), &header, sizeof(header));
 
-  // Temp file + rename: concurrent readers (another daemon, a crash
-  // mid-write) can only ever see a complete sidecar.
+  // Temp file + fsync + rename: concurrent readers (another daemon, a
+  // crash mid-write) can only ever see a complete sidecar, and the bytes
+  // are on disk before the name points at them. A power cut that still
+  // loses them leaves a file whose checksum fails, which reads as a miss.
   const std::string temp =
       path + ".tmp." + std::to_string(::getpid());
-  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + temp);
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  for (const DenseMatrix& m : summary.m_raw) {
-    FGR_CHECK_EQ(m.rows(), summary.num_classes);
-    FGR_CHECK_EQ(m.cols(), summary.num_classes);
-    out.write(reinterpret_cast<const char*>(m.data().data()),
-              static_cast<std::streamsize>(m.data().size() *
-                                           sizeof(double)));
+  const int fd =
+      ::open(temp.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return Status::Internal("cannot write " + temp);
+  bool written = true;
+  for (std::size_t done = 0; written && done < image.size();) {
+    const ssize_t got = ::write(fd, image.data() + done, image.size() - done);
+    if (got > 0) {
+      done += static_cast<std::size_t>(got);
+    } else if (got < 0 && errno != EINTR) {
+      written = false;
+    }
   }
-  out.flush();
-  out.close();
-  if (!out) {
+  written = written && ::fsync(fd) == 0;
+  written = ::close(fd) == 0 && written;
+  if (!written) {
     std::remove(temp.c_str());
     return Status::Internal("write failed for " + temp);
   }
@@ -126,8 +162,13 @@ Result<DatasetSummary> ReadFgrSum(const std::string& path) {
   Header header;
   in.read(reinterpret_cast<char*>(&header), sizeof(header));
   if (!in) return Status::InvalidArgument(path + ": truncated fgrsum file");
-  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(header.magic, kMagic, kMagicFamilyBytes) != 0) {
     return Status::InvalidArgument(path + ": not an fgrsum file");
+  }
+  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument(
+        path + ": fgrsum file of an unsupported format version (" +
+        std::string(header.magic, sizeof(header.magic)) + ")");
   }
   if (header.endian_check != kEndianCheck) {
     return Status::InvalidArgument(
@@ -150,10 +191,18 @@ Result<DatasetSummary> ReadFgrSum(const std::string& path) {
   const std::int64_t expected =
       static_cast<std::int64_t>(sizeof(Header)) +
       static_cast<std::int64_t>(header.max_length) * k * k * 8;
-  if (file_size < expected) {
-    return Status::InvalidArgument(path + ": truncated fgrsum file");
+  if (file_size != expected) {
+    return Status::InvalidArgument(
+        path + ": fgrsum file holds " + std::to_string(file_size) +
+        " bytes, its header implies " + std::to_string(expected));
   }
-  in.seekg(static_cast<std::streamoff>(sizeof(Header)), std::ios::beg);
+  std::vector<char> image(static_cast<std::size_t>(expected));
+  in.seekg(0, std::ios::beg);
+  in.read(image.data(), static_cast<std::streamsize>(image.size()));
+  if (!in) return Status::InvalidArgument(path + ": truncated fgrsum file");
+  if (ImageChecksum(image) != header.checksum) {
+    return Status::InvalidArgument(path + ": fgrsum checksum mismatch");
+  }
 
   DatasetSummary summary;
   summary.path_type = header.path_type == 1 ? PathType::kNonBacktracking
@@ -163,15 +212,13 @@ Result<DatasetSummary> ReadFgrSum(const std::string& path) {
   summary.num_classes = header.num_classes;
   summary.content_hash = header.content_hash;
   summary.m_raw.reserve(static_cast<std::size_t>(header.max_length));
-  std::vector<double> buffer(static_cast<std::size_t>(k * k));
+  const char* payload = image.data() + sizeof(Header);
   for (std::int32_t l = 0; l < header.max_length; ++l) {
-    in.read(reinterpret_cast<char*>(buffer.data()),
-            static_cast<std::streamsize>(buffer.size() * sizeof(double)));
-    if (!in) return Status::InvalidArgument(path + ": truncated fgrsum file");
     DenseMatrix m(k, k);
     for (std::int64_t i = 0; i < k; ++i) {
-      std::memcpy(m.RowPtr(i), buffer.data() + i * k,
+      std::memcpy(m.RowPtr(i), payload,
                   static_cast<std::size_t>(k) * sizeof(double));
+      payload += k * static_cast<std::int64_t>(sizeof(double));
     }
     summary.m_raw.push_back(std::move(m));
   }
@@ -272,6 +319,33 @@ Result<std::shared_ptr<const DatasetSummary>> SummaryCache::GetOrCompute(
   }
   if (source != nullptr) *source = SummarySource::kComputed;
   return std::shared_ptr<const DatasetSummary>(summary);
+}
+
+Result<double> SummaryCache::GetOrComputeRho(const std::string& fgrbin_path,
+                                             std::uint64_t content_hash,
+                                             const RhoFn& compute,
+                                             SummarySource* source) {
+  // A key of its own, so the statistics' compute mutex (which estimates
+  // take) and this one never wait on each other.
+  std::shared_ptr<KeyState> state = states_.StateFor(fgrbin_path + "|rho");
+  std::lock_guard<std::mutex> compute_lock(state->compute_mutex);
+  if (state->rho_w.has_value() && state->rho_hash == content_hash) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.rho_memory_hits;
+    if (source != nullptr) *source = SummarySource::kMemory;
+    return *state->rho_w;
+  }
+  state->rho_w.reset();  // a new content hash drops the old value
+  Result<double> rho_w = compute();
+  if (!rho_w.ok()) return rho_w.status();
+  state->rho_w = rho_w.value();
+  state->rho_hash = content_hash;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.rho_computed;
+  }
+  if (source != nullptr) *source = SummarySource::kComputed;
+  return rho_w;
 }
 
 SummaryCache::Counters SummaryCache::counters() const {

@@ -1,9 +1,10 @@
 // Tests for the src/serve subsystem: the line-JSON protocol (malformed,
 // unknown-op, oversized requests), the .fgrsum summary cache (round trip,
-// hash invalidation, ℓmax extension, disk hits), LRU dataset residency
-// under a byte budget, the server request handlers against the offline
-// estimators (bit-for-bit in pinned-serial runs), and a multi-client
-// TCP concurrency test.
+// checksum and format rejection, hash invalidation, ℓmax extension, disk
+// hits), LRU dataset residency under a byte budget, the server request
+// handlers against the offline estimators (bit-for-bit in pinned-serial
+// runs), the ρ(W) memo behind served labels, and a multi-client TCP
+// concurrency test.
 
 #include <chrono>
 #include <cmath>
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "fgr/fgr.h"
+#include "obs/counters.h"
 #include "obs/log.h"
 
 namespace fgr {
@@ -109,6 +111,45 @@ DenseMatrix MatrixFrom(const Json& response, const std::string& key) {
     }
   }
   return matrix;
+}
+
+std::vector<ClassId> LabelsFrom(const Json& response) {
+  const Json* labels = response.Find("labels");
+  FGR_CHECK(labels != nullptr && labels->type() == Json::Type::kArray);
+  std::vector<ClassId> raw;
+  for (const Json& value : labels->items()) {
+    raw.push_back(static_cast<ClassId>(value.number_value()));
+  }
+  return raw;
+}
+
+std::vector<char> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A sidecar image re-laid in the pre-checksum format: magic "fgrsum01", a
+// 40-byte header, then the same matrices.
+std::vector<char> AsFgrSum01(std::vector<char> image) {
+  image.erase(image.begin() + 40, image.begin() + 48);
+  image[7] = '1';
+  return image;
+}
+
+// The offline fgr::Label a served label (EstimateRequest(path, "label"))
+// must reproduce bit for bit at one thread.
+LabelResult OfflineLabel(const std::string& path) {
+  LabelOptions options;
+  options.estimate.dce = TestDceOptions();
+  auto result = Label(DatasetRef::FgrBin(path), options);
+  FGR_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
 // --- protocol -------------------------------------------------------------
@@ -440,6 +481,29 @@ TEST(FgrSumTest, RejectsCorruptFiles) {
   EXPECT_NE(bad_magic.status().message().find("not an fgrsum"),
             std::string::npos);
   EXPECT_FALSE(ReadFgrSum(TempPath("missing.fgrsum")).ok());
+
+  ASSERT_TRUE(WriteFgrSum(MakeSummary(3, 7), path).ok());
+  const std::vector<char> good = ReadBytes(path);
+  // One flipped bit in M(ℓ): the right length, the wrong statistics.
+  std::vector<char> flipped = good;
+  flipped[good.size() - 20] ^= 0x10;
+  WriteBytes(path, flipped);
+  auto bad_bits = ReadFgrSum(path);
+  ASSERT_FALSE(bad_bits.ok());
+  EXPECT_NE(bad_bits.status().message().find("checksum"), std::string::npos);
+  // A flipped bit in the header's content hash is caught the same way.
+  std::vector<char> header_flip = good;
+  header_flip[16] ^= 0x01;
+  WriteBytes(path, header_flip);
+  EXPECT_FALSE(ReadFgrSum(path).ok());
+  std::vector<char> trailing = good;
+  trailing.push_back('x');
+  WriteBytes(path, trailing);
+  EXPECT_FALSE(ReadFgrSum(path).ok());
+  WriteBytes(path, AsFgrSum01(good));
+  auto old = ReadFgrSum(path);
+  ASSERT_FALSE(old.ok());
+  EXPECT_NE(old.status().message().find("fgrsum01"), std::string::npos);
 }
 
 TEST(FgrSumTest, WriteKeepsTheLongerPrefixUnderConcurrentWriters) {
@@ -595,6 +659,43 @@ TEST(SummaryCacheTest, PersistsAndReloadsSidecars) {
     EXPECT_EQ(source, SummarySource::kComputed);
   }
   EXPECT_EQ(computed, 2);
+}
+
+// A sidecar that fails its checks is a miss: the daemon recomputes the
+// statistics, serves the H the offline estimate gives, and rewrites the
+// sidecar.
+TEST(SummaryCacheTest, DamagedSidecarsAreRecomputedNeverServed) {
+  SetNumThreads(1);
+  Fixture fixture = MakeFixture("damaged_sidecar", 38);
+  const EstimationResult offline =
+      EstimateDce(fixture.data.graph, fixture.seeds, TestDceOptions());
+  const std::string sidecar = FgrSumPathFor(fixture.path);
+  std::filesystem::remove(sidecar);
+  const auto serve_fresh = [&] {
+    FgrServer server(ServerOptions{});
+    return MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
+  };
+  const Json first = serve_fresh();
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << first.Dump();
+  EXPECT_EQ(first.GetString("summary_source", ""), "computed");
+  EXPECT_EQ(serve_fresh().GetString("summary_source", ""), "disk");
+  const std::vector<char> good = ReadBytes(sidecar);
+
+  std::vector<char> flipped = good;
+  flipped[good.size() - 9] ^= 0x04;  // a payload byte
+  std::vector<char> truncated(good.begin(), good.end() - 8);
+  for (const auto& [name, bytes] :
+       {std::pair{"flipped payload byte", flipped},
+        std::pair{"truncated payload", truncated},
+        std::pair{"fgrsum01 file", AsFgrSum01(good)}}) {
+    WriteBytes(sidecar, bytes);
+    const Json served = serve_fresh();
+    ASSERT_TRUE(served.Find("ok")->bool_value()) << name << served.Dump();
+    EXPECT_EQ(served.GetString("summary_source", ""), "computed") << name;
+    EXPECT_EQ(MatrixFrom(served, "h").data(), offline.h.data()) << name;
+    EXPECT_EQ(ReadBytes(sidecar), good) << name << ": sidecar not rewritten";
+  }
+  SetNumThreads(0);
 }
 
 // --- dataset cache --------------------------------------------------------
@@ -975,6 +1076,128 @@ TEST(ServerTest, StreamedRouteSeesMtimePreservingSameSizeRewrite) {
   EXPECT_EQ(second.GetString("summary_source", ""), "computed");
   EXPECT_NE(MatrixFrom(first, "h").data(), offline.h.data());
   EXPECT_EQ(MatrixFrom(second, "h").data(), offline.h.data());
+}
+
+// --- ρ(W) memo -------------------------------------------------------------
+
+// Concurrent first labels of a preloaded dataset coalesce on one Lanczos
+// run, and every one of them answers exactly what the offline pipeline
+// does.
+TEST(ServerRhoTest, ConcurrentColdLabelsComputeRhoOnce) {
+  SetNumThreads(1);
+  Fixture fixture = MakeFixture("rho_concurrent", 51);
+  const LabelResult offline = OfflineLabel(fixture.path);
+  ServerOptions options;
+  options.persist_summaries = false;
+  FgrServer server(options);
+  ASSERT_TRUE(server.Preload(fixture.path).ok());
+
+  constexpr int kLabels = 4;
+  std::vector<std::string> responses(kLabels);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kLabels; ++t) {
+    threads.emplace_back([&, t] {
+      responses[t] =
+          server.HandleRequestLine(EstimateRequest(fixture.path, "label"));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  SetNumThreads(0);
+
+  int computed = 0;
+  for (const std::string& line : responses) {
+    const Json response = MustParse(line);
+    ASSERT_TRUE(response.Find("ok")->bool_value()) << line;
+    EXPECT_EQ(LabelsFrom(response), offline.labels.raw());
+    EXPECT_EQ(MatrixFrom(response, "h").data(), offline.estimate.h.data());
+    EXPECT_EQ(response.GetNumber("rho_w", -1), offline.propagation.rho_w);
+    computed += response.GetString("rho_w_source", "") == "computed";
+  }
+  EXPECT_EQ(computed, 1);
+  EXPECT_EQ(server.summaries().counters().rho_computed, 1);
+  EXPECT_EQ(server.summaries().counters().rho_memory_hits, kLabels - 1);
+}
+
+// A rewritten file hashes differently, so its ρ is recomputed and its
+// labels are the new file's.
+TEST(ServerRhoTest, RewritingTheFileRecomputesRho) {
+  SetNumThreads(1);
+  Fixture fixture = MakeFixture("rho_rewrite", 52);
+  ServerOptions options;
+  options.persist_summaries = false;
+  FgrServer server(options);
+  const Json first = MustParse(
+      server.HandleRequestLine(EstimateRequest(fixture.path, "label")));
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << first.Dump();
+  EXPECT_EQ(LabelsFrom(first), OfflineLabel(fixture.path).labels.raw());
+
+  Fixture other = MakeFixture("rho_rewrite_new", 53, 430);
+  std::filesystem::rename(other.path, fixture.path);
+  const LabelResult offline = OfflineLabel(fixture.path);
+  const Json second = MustParse(
+      server.HandleRequestLine(EstimateRequest(fixture.path, "label")));
+  SetNumThreads(0);
+  ASSERT_TRUE(second.Find("ok")->bool_value()) << second.Dump();
+  EXPECT_EQ(second.GetString("rho_w_source", ""), "computed");
+  EXPECT_EQ(second.GetNumber("rho_w", -1), offline.propagation.rho_w);
+  EXPECT_NE(second.GetNumber("rho_w", -1), first.GetNumber("rho_w", -1));
+  EXPECT_EQ(LabelsFrom(second), offline.labels.raw());
+  EXPECT_EQ(server.summaries().counters().rho_computed, 2);
+  EXPECT_EQ(server.summaries().counters().rho_memory_hits, 0);
+}
+
+// Over the residency budget the streamed route skips the Lanczos passes
+// on every label after the first, and answers identically.
+TEST(ServerRhoTest, NonResidentLabelsReuseRho) {
+  SetNumThreads(1);
+  Fixture fixture = MakeFixture("rho_streamed", 54);
+  const LabelResult offline = OfflineLabel(fixture.path);
+  ServerOptions options;
+  options.dataset_budget_bytes = 1024;    // nothing fits
+  options.streaming_budget_bytes = 8192;  // several panels per pass
+  options.persist_summaries = false;
+  FgrServer server(options);
+  const auto spmv_calls = [] {
+    return obs::GetCounter(obs::PipelineCounter::kKernelSpmvCalls);
+  };
+  const std::int64_t before_first = spmv_calls();
+  const Json first = MustParse(
+      server.HandleRequestLine(EstimateRequest(fixture.path, "label")));
+  const std::int64_t before_second = spmv_calls();
+  const Json second = MustParse(
+      server.HandleRequestLine(EstimateRequest(fixture.path, "label")));
+  SetNumThreads(0);
+  // Lanczos is the only SpMV caller on this route.
+  EXPECT_GT(before_second - before_first, 0);
+  EXPECT_EQ(spmv_calls() - before_second, 0);
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << first.Dump();
+  ASSERT_TRUE(second.Find("ok")->bool_value()) << second.Dump();
+  EXPECT_FALSE(second.Find("resident")->bool_value());
+  EXPECT_EQ(first.GetString("rho_w_source", ""), "computed");
+  EXPECT_EQ(second.GetString("rho_w_source", ""), "memory");
+  EXPECT_EQ(second.GetNumber("rho_w", -1), first.GetNumber("rho_w", -2));
+  EXPECT_EQ(LabelsFrom(second), LabelsFrom(first));
+  EXPECT_EQ(LabelsFrom(second), offline.labels.raw());
+  EXPECT_EQ(server.summaries().counters().rho_computed, 1);
+  EXPECT_EQ(server.summaries().counters().rho_memory_hits, 1);
+}
+
+// ρ(W) is label-only work: estimates neither compute it nor count it.
+TEST(ServerRhoTest, EstimatesNeverComputeRho) {
+  Fixture fixture = MakeFixture("rho_estimates", 55);
+  ServerOptions options;
+  options.persist_summaries = false;
+  FgrServer server(options);
+  ASSERT_TRUE(server.Preload(fixture.path).ok());
+  for (int i = 0; i < 3; ++i) {
+    const Json response =
+        MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
+    ASSERT_TRUE(response.Find("ok")->bool_value()) << response.Dump();
+    EXPECT_EQ(response.Find("rho_w"), nullptr);
+  }
+  const Json stats = MustParse(server.HandleRequestLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(stats.Find("summary")->GetInt("rho_computed", -1), 0);
+  EXPECT_EQ(stats.Find("summary")->GetInt("rho_memory_hits", -1), 0);
 }
 
 TEST(ServerTest, StatsAndDatasetsOpsReportCounters) {

@@ -579,8 +579,9 @@ int RunQueryLabel(const std::string& dataset, const std::string& out_path,
                                                   num_classes);
   const Status status = WriteLabels(predicted, out_path);
   if (!status.ok()) return Fail(status.ToString());
-  std::fprintf(stderr, "fgrd: summary %s\n",
-               json.GetString("summary_source", "?").c_str());
+  std::fprintf(stderr, "fgrd: summary %s, rho(W) %s\n",
+               json.GetString("summary_source", "?").c_str(),
+               json.GetString("rho_w_source", "?").c_str());
   std::printf("estimated H, propagated %d LinBP iterations, wrote %lld "
               "labels to %s\n",
               static_cast<int>(json.GetInt("linbp_iterations", 0)),
