@@ -488,6 +488,7 @@ std::string FgrServer::MetricsJson(const char* op) const {
   writer.Key("disk_hits").Value(summary.disk_hits);
   writer.Key("computed").Value(summary.computed);
   writer.Key("invalidations").Value(summary.invalidations);
+  writer.Key("sidecars_rejected").Value(summary.sidecars_rejected);
   writer.Key("rho_memory_hits").Value(summary.rho_memory_hits);
   writer.Key("rho_computed").Value(summary.rho_computed);
   writer.EndObject();

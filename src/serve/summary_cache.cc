@@ -287,6 +287,10 @@ Result<std::shared_ptr<const DatasetSummary>> SummaryCache::GetOrCompute(
   // request) satisfies the call when its hash still matches the bytes.
   const std::string sidecar = FgrSumPathFor(fgrbin_path, path_type);
   Result<DatasetSummary> from_disk = ReadFgrSum(sidecar);
+  if (!from_disk.ok() && from_disk.status().code() != StatusCode::kNotFound) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.sidecars_rejected;
+  }
   if (from_disk.ok() && from_disk.value().content_hash == content_hash &&
       from_disk.value().path_type == path_type &&
       from_disk.value().max_length >= min_length) {

@@ -139,6 +139,9 @@ class SummaryCache {
     std::int64_t disk_hits = 0;
     std::int64_t computed = 0;
     std::int64_t invalidations = 0;  // hash-mismatch discards
+    // Sidecars that exist but fail ReadFgrSum (damaged, truncated or of an
+    // old format); each is recomputed and counted under `computed` too.
+    std::int64_t sidecars_rejected = 0;
     std::int64_t rho_memory_hits = 0;
     std::int64_t rho_computed = 0;
   };

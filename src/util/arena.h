@@ -1,7 +1,6 @@
 // Bump-pointer arena for per-panel / per-request kernel temporaries.
 //
-// The hot paths allocate short-lived scratch on every call: the fused
-// transpose-multiply needs per-shard column-tile buffers, summarization
+// The hot paths allocate short-lived scratch on every call: summarization
 // needs per-shard k×k partials, and every fgrd request replays those
 // allocations. An arena turns each of those into a pointer bump against
 // memory that is allocated once per thread and reused forever: blocks are
@@ -16,9 +15,9 @@
 //
 // Thread safety: an Arena is single-threaded by design — workers use their
 // own ThreadLocalArena(). Do not allocate from one arena on two threads.
-// OpenMP and std::thread pools keep worker threads alive between calls, so
-// the thread-local arenas amortize exactly like a global one would, without
-// a lock on the bump pointer.
+// The kernels' thread pool (util/parallel.h) and fgrd's workers keep their
+// threads alive between calls, so the thread-local arenas amortize exactly
+// like a global one would, without a lock on the bump pointer.
 
 #ifndef FGR_UTIL_ARENA_H_
 #define FGR_UTIL_ARENA_H_
@@ -146,7 +145,7 @@ class Arena {
   Stats stats_;
 };
 
-// The calling thread's arena. Worker threads (OpenMP pool, fgrd workers)
+// The calling thread's arena. Worker threads (the kernel pool, fgrd workers)
 // each get their own, reused across calls for the lifetime of the thread.
 inline Arena& ThreadLocalArena() {
   thread_local Arena arena;

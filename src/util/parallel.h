@@ -10,74 +10,67 @@
 //     this for reductions (one partial accumulator per shard, combined in
 //     shard order so results are deterministic for a fixed thread count).
 //
-// Backend: OpenMP when the library is built with FGR_WITH_OPENMP (see the
-// CMake option of the same name), a plain serial loop otherwise. The thread
-// count is resolved per call site: SetNumThreads() wins, then the
-// FGR_NUM_THREADS environment variable, then the hardware thread count.
-// With 1 thread every kernel takes the exact serial code path, so
-// single-threaded runs stay bit-reproducible against the pre-parallel
-// library.
+// Backend: one process-wide fork-join pool of std::threads (parallel.cc).
+// The calling thread runs shards too, so a region takes up to
+// min(NumThreads(), CPUs) threads. A region entered from inside another
+// region, or while another thread holds the pool, runs its shards inline
+// on the calling thread; the pool never nests and the count of live kernel
+// threads stays bounded by the CPU count. The thread count is resolved per
+// call site: SetNumThreads() wins, then the FGR_NUM_THREADS environment
+// variable, then the CPUs this process may run on. Shard boundaries depend
+// only on the range and the shard count, never on which thread runs a
+// shard, so results are bit-identical for a fixed thread count, and with
+// 1 thread every kernel runs its shards in order on the calling thread.
 
 #ifndef FGR_UTIL_PARALLEL_H_
 #define FGR_UTIL_PARALLEL_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "util/check.h"
 
-#ifdef FGR_WITH_OPENMP
-#include <omp.h>
-#endif
-
 namespace fgr {
-
-// True when the library was compiled with the OpenMP backend.
-bool ParallelismEnabled();
 
 // Overrides the worker-thread count for all subsequent parallel kernels.
 // `threads` >= 1 pins the count; 0 restores automatic resolution
-// (FGR_NUM_THREADS env var, else the hardware thread count). In a serial
-// build the setting is recorded but every kernel still runs on one thread.
+// (FGR_NUM_THREADS env var, else the CPUs this process may run on).
 void SetNumThreads(int threads);
 
-// The worker-thread count parallel kernels will use right now. Always 1 in
-// a serial build.
+// The worker-thread count parallel kernels will use right now.
 int NumThreads();
 
 namespace internal {
 
 // Caps the worker count so every worker gets at least `grain` iterations;
-// returns 1 when parallelism is disabled or not worthwhile.
+// returns 1 when parallelism is not worthwhile.
 int ResolveWorkers(std::int64_t iterations, std::int64_t grain);
 
-// Captures the first exception thrown inside a parallel region so it can be
-// rethrown on the calling thread. OpenMP terminates the process when an
-// exception escapes a parallel loop body, so every body must be wrapped.
-class ExceptionCollector {
+// A non-owning reference to a callable taking a shard index. It is two
+// pointers, so handing a region to the pool allocates nothing; the callable
+// must outlive the RunShards call it is passed to.
+class ShardCallback {
  public:
   template <typename Fn>
-  void Run(Fn&& fn) noexcept {
-    try {
-      fn();
-    } catch (...) {
-      Capture(std::current_exception());
-    }
-  }
+  ShardCallback(const Fn& fn)  // NOLINT(google-explicit-constructor)
+      : object_(&fn), invoke_([](const void* object, int shard) {
+          (*static_cast<const Fn*>(object))(shard);
+        }) {}
 
-  // Rethrows the first captured exception, if any.
-  void Rethrow();
+  void operator()(int shard) const { invoke_(object_, shard); }
 
  private:
-  void Capture(std::exception_ptr exception);
-
-  std::mutex mutex_;
-  std::exception_ptr first_;
+  const void* object_;
+  void (*invoke_)(const void* object, int shard);
 };
+
+// Runs body(s) for every s in [0, shards) and returns once all have
+// finished, on the pool when the thread setting and the CPU count allow
+// more than one participant, else in order on the calling thread. On the
+// pool, the first exception a shard throws is rethrown on the calling
+// thread after every shard has finished; inline, it propagates at once.
+void RunShards(int shards, ShardCallback body);
 
 }  // namespace internal
 
@@ -85,36 +78,6 @@ class ExceptionCollector {
 // kernels touch O(degree · k) doubles per iteration, so a few hundred rows
 // amortize the fork/join cost comfortably.
 inline constexpr std::int64_t kDefaultGrain = 512;
-
-// Runs fn(i) for every i in [begin, end). Iterations must be independent;
-// exceptions thrown by fn are rethrown on the calling thread (first wins).
-template <typename Fn>
-void ParallelFor(std::int64_t begin, std::int64_t end, Fn&& fn,
-                 std::int64_t grain = kDefaultGrain) {
-  if (end <= begin) return;
-  const int workers = internal::ResolveWorkers(end - begin, grain);
-#ifdef FGR_WITH_OPENMP
-  if (workers > 1) {
-    internal::ExceptionCollector exceptions;
-#pragma omp parallel for schedule(static) num_threads(workers)
-    for (std::int64_t i = begin; i < end; ++i) {
-      exceptions.Run([&] { fn(i); });
-    }
-    exceptions.Rethrow();
-    return;
-  }
-#endif
-  (void)workers;
-  for (std::int64_t i = begin; i < end; ++i) fn(i);
-}
-
-// Number of shards ParallelForShards should use for a reduction over
-// `iterations` items: the resolved worker count, grain-capped. Callers size
-// their per-shard accumulators with this.
-inline int NumShards(std::int64_t iterations,
-                     std::int64_t grain = kDefaultGrain) {
-  return internal::ResolveWorkers(iterations, grain);
-}
 
 // Splits [begin, end) into exactly `shards` contiguous, balanced,
 // ascending-order shards and runs fn(shard_begin, shard_end, shard_index)
@@ -130,30 +93,31 @@ void ParallelForShards(std::int64_t begin, std::int64_t end, int shards,
   if (shards > count) shards = static_cast<int>(count);
   const std::int64_t base = count / shards;
   const std::int64_t extra = count % shards;
-  const auto shard_range = [&](int s) {
+  internal::RunShards(shards, [&](int s) {
     const std::int64_t lo =
         begin + s * base + std::min<std::int64_t>(s, extra);
     const std::int64_t hi = lo + base + (s < extra ? 1 : 0);
-    return std::pair<std::int64_t, std::int64_t>(lo, hi);
-  };
-#ifdef FGR_WITH_OPENMP
-  if (shards > 1) {
-    internal::ExceptionCollector exceptions;
-#pragma omp parallel for schedule(static, 1) num_threads(shards)
-    for (int s = 0; s < shards; ++s) {
-      exceptions.Run([&] {
-        const auto [lo, hi] = shard_range(s);
-        fn(lo, hi, s);
-      });
-    }
-    exceptions.Rethrow();
-    return;
-  }
-#endif
-  for (int s = 0; s < shards; ++s) {
-    const auto [lo, hi] = shard_range(s);
     fn(lo, hi, s);
-  }
+  });
+}
+
+// Runs fn(i) for every i in [begin, end). Iterations must be independent;
+// exceptions thrown by fn are rethrown on the calling thread (first wins).
+template <typename Fn>
+void ParallelFor(std::int64_t begin, std::int64_t end, Fn&& fn,
+                 std::int64_t grain = kDefaultGrain) {
+  ParallelForShards(begin, end, internal::ResolveWorkers(end - begin, grain),
+                    [&](std::int64_t lo, std::int64_t hi, int) {
+                      for (std::int64_t i = lo; i < hi; ++i) fn(i);
+                    });
+}
+
+// Number of shards ParallelForShards should use for a reduction over
+// `iterations` items: the resolved worker count, grain-capped. Callers size
+// their per-shard accumulators with this.
+inline int NumShards(std::int64_t iterations,
+                     std::int64_t grain = kDefaultGrain) {
+  return internal::ResolveWorkers(iterations, grain);
 }
 
 // Splits the rows of a CSR-style prefix-sum array into at most `shards`
@@ -183,24 +147,10 @@ template <typename Fn>
 void ParallelForShards(const std::vector<std::int64_t>& boundaries, Fn&& fn) {
   const int shards = static_cast<int>(boundaries.size()) - 1;
   if (shards <= 0) return;
-#ifdef FGR_WITH_OPENMP
-  if (shards > 1) {
-    internal::ExceptionCollector exceptions;
-#pragma omp parallel for schedule(static, 1) num_threads(shards)
-    for (int s = 0; s < shards; ++s) {
-      exceptions.Run([&] {
-        fn(boundaries[static_cast<std::size_t>(s)],
-           boundaries[static_cast<std::size_t>(s) + 1], s);
-      });
-    }
-    exceptions.Rethrow();
-    return;
-  }
-#endif
-  for (int s = 0; s < shards; ++s) {
+  internal::RunShards(shards, [&](int s) {
     fn(boundaries[static_cast<std::size_t>(s)],
        boundaries[static_cast<std::size_t>(s) + 1], s);
-  }
+  });
 }
 
 }  // namespace fgr

@@ -1,7 +1,9 @@
 // Allocation contract of the DCE optimizer loop: once a
 // DceObjective::Workspace and the gradient vector exist, evaluations
 // allocate nothing, and an L-BFGS run allocates only when it starts — its
-// allocation count does not grow with the number of iterations.
+// allocation count does not grow with the number of iterations. Also the
+// contract the kernels' arena scratch relies on: once the thread pool is
+// running, dispatching a parallel region allocates nothing.
 //
 // The global operator new is replaced by a counting one, so this suite is
 // its own binary. Under sanitizers (which interpose the allocator) it
@@ -19,6 +21,7 @@
 #include "core/compatibility.h"
 #include "core/dce.h"
 #include "opt/lbfgs.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -144,6 +147,31 @@ TEST_F(DceAllocTest, LbfgsAllocationsDoNotGrowWithIterations) {
   ASSERT_EQ(short_run.iterations, 5);
   ASSERT_GT(long_run.iterations, 10) << "the long run must iterate further";
   EXPECT_EQ(long_allocations, short_allocations);
+}
+
+TEST_F(DceAllocTest, WarmPoolDispatchAllocatesNothing) {
+  SetNumThreads(4);
+  const std::vector<double> values(1 << 16, 1.0);
+  std::vector<double> partial(4, 0.0);
+  const auto sharded_sum = [&] {
+    ParallelForShards(0, static_cast<std::int64_t>(values.size()), 4,
+                      [&](std::int64_t lo, std::int64_t hi, int s) {
+                        double sum = 0.0;
+                        for (std::int64_t i = lo; i < hi; ++i) {
+                          sum += values[static_cast<std::size_t>(i)];
+                        }
+                        partial[static_cast<std::size_t>(s)] = sum;
+                      });
+  };
+  sharded_sum();  // warm-up: starts the pool's workers
+
+  const std::int64_t before = Allocations();
+  for (int call = 0; call < 100; ++call) sharded_sum();
+  const std::int64_t during = Allocations() - before;
+  SetNumThreads(0);
+  EXPECT_EQ(during, 0);
+  EXPECT_EQ(partial[0] + partial[1] + partial[2] + partial[3],
+            static_cast<double>(values.size()));
 }
 
 }  // namespace

@@ -337,7 +337,6 @@ TEST(ParallelEquivalenceTest, SummarizerFoldReusesArenaScratch) {
   // summarization passes must not reserve new blocks. 16k+ rows at 4
   // threads make the fold split into several shards (grain 4096), which is
   // the only case that touches the arena.
-  if (!ParallelismEnabled()) GTEST_SKIP() << "serial build: fold never shards";
   ThreadGuard guard;
   SetNumThreads(4);
   const PlantedFixture fixture = MakePlantedFixture(20000);

@@ -1,13 +1,21 @@
 // Unit tests for the ParallelFor backend (src/util/parallel.h): thread-count
-// resolution, range coverage, shard partitioning, and exception propagation.
+// resolution, range coverage, shard partitioning, exception propagation,
+// and the fork-join pool behind them (nesting, concurrent callers, the
+// bound on live threads).
 
 #include "util/parallel.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/shuffle.h"
@@ -26,11 +34,7 @@ class ThreadGuard {
 TEST(ParallelConfigTest, SetNumThreadsOverridesResolution) {
   ThreadGuard guard;
   SetNumThreads(3);
-  if (ParallelismEnabled()) {
-    EXPECT_EQ(NumThreads(), 3);
-  } else {
-    EXPECT_EQ(NumThreads(), 1);  // serial build pins every kernel to 1
-  }
+  EXPECT_EQ(NumThreads(), 3);
   SetNumThreads(0);
   EXPECT_GE(NumThreads(), 1);
 }
@@ -39,16 +43,10 @@ TEST(ParallelConfigTest, EnvVariableOverridesDefault) {
   ThreadGuard guard;
   SetNumThreads(0);
   ASSERT_EQ(setenv("FGR_NUM_THREADS", "2", /*overwrite=*/1), 0);
-  if (ParallelismEnabled()) {
-    EXPECT_EQ(NumThreads(), 2);
-  } else {
-    EXPECT_EQ(NumThreads(), 1);
-  }
+  EXPECT_EQ(NumThreads(), 2);
   // An explicit SetNumThreads wins over the environment.
   SetNumThreads(5);
-  if (ParallelismEnabled()) {
-    EXPECT_EQ(NumThreads(), 5);
-  }
+  EXPECT_EQ(NumThreads(), 5);
   ASSERT_EQ(unsetenv("FGR_NUM_THREADS"), 0);
 }
 
@@ -152,12 +150,155 @@ TEST(ParallelForShardsTest, PropagatesExceptions) {
 TEST(ParallelForShardsTest, NumShardsMatchesThreadSetting) {
   ThreadGuard guard;
   SetNumThreads(4);
-  if (ParallelismEnabled()) {
-    EXPECT_EQ(NumShards(1 << 20), 4);
-  } else {
-    EXPECT_EQ(NumShards(1 << 20), 1);
-  }
+  EXPECT_EQ(NumShards(1 << 20), 4);
   EXPECT_EQ(NumShards(0), 1);  // degenerate range still yields one shard
+}
+
+// CPUs this process may run on, counted as the pool counts them.
+int AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return CPU_COUNT(&set);
+}
+
+// The process's live thread count ("Threads:" in /proc/self/status).
+int LiveThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// Spins until `flag` is set or 10 s pass; true when it was set.
+bool AwaitFlag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return flag.load();
+}
+
+// A sharded floating-point sum: its bits depend on the shard boundaries,
+// so it changes if a concurrent call ever shifts them.
+double ShardedSum(const std::vector<double>& values) {
+  const auto n = static_cast<std::int64_t>(values.size());
+  const int shards = NumShards(n, /*grain=*/64);
+  std::vector<double> partial(static_cast<std::size_t>(shards), 0.0);
+  ParallelForShards(0, n, shards, [&](std::int64_t lo, std::int64_t hi, int s) {
+    double sum = 0.0;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      sum += values[static_cast<std::size_t>(i)];
+    }
+    partial[static_cast<std::size_t>(s)] = sum;
+  });
+  double total = 0.0;
+  for (double p : partial) total += p;
+  return total;
+}
+
+TEST(ThreadPoolTest, ParallelForNestedInAShardFinishesAndCoversItsRange) {
+  ThreadGuard guard;
+  SetNumThreads(4);
+  constexpr std::int64_t kOuter = 8;
+  constexpr std::int64_t kInner = 5000;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  ParallelForShards(0, kOuter, 4, [&](std::int64_t lo, std::int64_t hi, int) {
+    for (std::int64_t outer = lo; outer < hi; ++outer) {
+      ParallelFor(
+          0, kInner,
+          [&](std::int64_t i) {
+            ++hits[static_cast<std::size_t>(outer * kInner + i)];
+          },
+          /*grain=*/1);
+    }
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersGetTheirSoloResultsBitForBit) {
+  ThreadGuard guard;
+  SetNumThreads(4);
+  constexpr int kCallers = 4;
+  std::vector<std::vector<double>> inputs(kCallers);
+  std::vector<double> solo(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    for (int i = 0; i < 40000; ++i) {
+      inputs[c].push_back((i % 3 == 0 ? -1.0 : 1.0) / (1.0 + i + 7.0 * c));
+    }
+    solo[c] = ShardedSum(inputs[c]);
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int rep = 0; rep < 50; ++rep) {
+        if (ShardedSum(inputs[c]) != solo[c]) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ThreadPoolTest, WorkerExceptionIsRethrownAndThePoolServesTheNextCall) {
+  if (AffinityCpus() < 2) GTEST_SKIP() << "one CPU: the pool never starts";
+  ThreadGuard guard;
+  SetNumThreads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  // The caller's shards wait until a worker has run one, so a worker
+  // shard is certain to run (and, the first time, to throw).
+  std::atomic<bool> worker_ran{false};
+  EXPECT_THROW(ParallelForShards(0, 16, 16,
+                                 [&](std::int64_t, std::int64_t, int) {
+                                   if (std::this_thread::get_id() != caller) {
+                                     worker_ran = true;
+                                     throw std::runtime_error("worker shard");
+                                   }
+                                   AwaitFlag(worker_ran);
+                                 }),
+               std::runtime_error);
+  EXPECT_TRUE(worker_ran.load());
+
+  std::atomic<bool> worker_ran_again{false};
+  std::vector<std::atomic<int>> hits(1000);
+  ParallelForShards(0, 1000, 16, [&](std::int64_t lo, std::int64_t hi, int) {
+    if (std::this_thread::get_id() != caller) {
+      worker_ran_again = true;
+    } else {
+      AwaitFlag(worker_ran_again);
+    }
+    for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+  });
+  EXPECT_TRUE(worker_ran_again.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, SixtyFourThreadsStartAtMostOneWorkerPerExtraCpu) {
+  ThreadGuard guard;
+  // A sanitizer runtime starts a helper thread of its own on the first
+  // thread creation; let that happen before the baseline is read.
+  std::thread([] {}).join();
+  const int before = LiveThreads();
+  ASSERT_GT(before, 0);
+  SetNumThreads(64);
+  constexpr std::int64_t kSize = 1 << 16;
+  ASSERT_EQ(NumShards(kSize, /*grain=*/1), 64);
+  std::vector<std::atomic<int>> hits(kSize);
+  ParallelForShards(0, kSize, NumShards(kSize, /*grain=*/1),
+                    [&](std::int64_t lo, std::int64_t hi, int) {
+                      for (std::int64_t i = lo; i < hi; ++i) {
+                        ++hits[static_cast<std::size_t>(i)];
+                      }
+                    });
+  ParallelFor(
+      0, kSize, [&](std::int64_t i) { ++hits[static_cast<std::size_t>(i)]; },
+      /*grain=*/1);
+  EXPECT_LE(LiveThreads() - before, AffinityCpus() - 1);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
 }
 
 TEST(ShardByWeightTest, BalancesUniformWeights) {

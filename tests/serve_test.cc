@@ -671,14 +671,23 @@ TEST(SummaryCacheTest, DamagedSidecarsAreRecomputedNeverServed) {
       EstimateDce(fixture.data.graph, fixture.seeds, TestDceOptions());
   const std::string sidecar = FgrSumPathFor(fixture.path);
   std::filesystem::remove(sidecar);
+  // Each call serves from a fresh server and adds its rejected-sidecar
+  // count (as `stats` reports it) to `rejected`.
+  std::int64_t rejected = 0;
   const auto serve_fresh = [&] {
     FgrServer server(ServerOptions{});
-    return MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
+    Json served =
+        MustParse(server.HandleRequestLine(EstimateRequest(fixture.path)));
+    const Json stats =
+        MustParse(server.HandleRequestLine("{\"op\":\"stats\"}"));
+    rejected += stats.Find("summary")->GetInt("sidecars_rejected", -1);
+    return served;
   };
   const Json first = serve_fresh();
   ASSERT_TRUE(first.Find("ok")->bool_value()) << first.Dump();
   EXPECT_EQ(first.GetString("summary_source", ""), "computed");
   EXPECT_EQ(serve_fresh().GetString("summary_source", ""), "disk");
+  EXPECT_EQ(rejected, 0) << "a missing or valid sidecar is not a rejection";
   const std::vector<char> good = ReadBytes(sidecar);
 
   std::vector<char> flipped = good;
@@ -695,6 +704,7 @@ TEST(SummaryCacheTest, DamagedSidecarsAreRecomputedNeverServed) {
     EXPECT_EQ(MatrixFrom(served, "h").data(), offline.h.data()) << name;
     EXPECT_EQ(ReadBytes(sidecar), good) << name << ": sidecar not rewritten";
   }
+  EXPECT_EQ(rejected, 3);
   SetNumThreads(0);
 }
 
